@@ -272,6 +272,16 @@ std::uint64_t DhTrngSoA::next_word() {
 }
 
 void DhTrngSoA::generate_words(std::uint64_t* out, std::size_t n) {
+  if (word_pos_ < kSoaLanes) {
+    // next_bit() has read the low word_pos_ (>= 1) bits of word_: each
+    // output word is that tail spliced onto the low bits of the next step.
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t w = next_word();
+      out[i] = (word_ >> word_pos_) | (w << (kSoaLanes - word_pos_));
+      word_ = w;
+    }
+    return;
+  }
   if (fast_) {
     for (std::size_t i = 0; i < n; ++i) out[i] = soa::step(fast_->st);
   } else {

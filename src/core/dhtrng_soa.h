@@ -72,8 +72,9 @@ class DhTrngSoA final : public TrngSource {
   /// One step of all 64 lanes: bit l is lane l's output bit this cycle.
   std::uint64_t next_word();
 
-  /// `n` consecutive steps into `out[0..n)`.
-  void generate_words(std::uint64_t* out, std::size_t n);
+  /// `n` consecutive steps into `out[0..n)` (after the unread tail of a
+  /// word next_bit() has started, so the stream stays continuous).
+  void generate_words(std::uint64_t* out, std::size_t n) override;
 
   /// Bits in DhTrngArray round-robin order: bit i of the stream is lane
   /// (i mod 64)'s bit for cycle (i div 64) — served from a buffered word.

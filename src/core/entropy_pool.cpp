@@ -5,22 +5,41 @@
 
 #include "core/dhtrng.h"
 #include "support/rng.h"
+#include "support/wordops.h"
 
 namespace dhtrng::core {
 
-EntropyPool::EntropyPool(EntropyPoolConfig config, SourceFactory factory)
-    : config_(config),
-      factory_(std::move(factory)),
-      buffer_(config.buffer_bytes) {
-  if (config_.producers == 0) {
+namespace {
+
+const EntropyPoolConfig& validated(const EntropyPoolConfig& config) {
+  if (config.producers == 0) {
     throw std::invalid_argument("EntropyPool: producers == 0");
   }
-  if (config_.block_bits == 0 || config_.block_bits % 8 != 0) {
+  if (config.block_bits == 0 || config.block_bits % 64 != 0) {
     throw std::invalid_argument("EntropyPool: block_bits must be a positive "
-                                "multiple of 8");
+                                "multiple of 64");
   }
+  return config;
+}
+
+/// buffer_bytes rounded up to a whole number of blocks, at least one:
+/// producers publish whole blocks, so a smaller buffer would never admit
+/// one.
+std::size_t ring_capacity(const EntropyPoolConfig& config) {
+  const std::size_t block_bytes = config.block_bits / 8;
+  const std::size_t blocks = std::max<std::size_t>(
+      1, (config.buffer_bytes + block_bytes - 1) / block_bytes);
+  return blocks * block_bytes;
+}
+
+}  // namespace
+
+EntropyPool::EntropyPool(EntropyPoolConfig config, SourceFactory factory)
+    : config_(validated(config)),
+      factory_(std::move(factory)),
+      buffer_(ring_capacity(config_)) {
   // Clamp the tracker geometry to the largest power of two dividing
-  // block_bits (>= 8 since block_bits is a multiple of 8): producers feed
+  // block_bits (>= 64 since block_bits is a multiple of 64): producers feed
   // whole blocks, so this keeps every tracker permanently block- and
   // window-aligned and the pool-wide merge exact.
   tracker_config_ = config_.tracker;
@@ -77,34 +96,17 @@ std::uint64_t EntropyPool::derived_seed(std::size_t index,
 
 void EntropyPool::producer_loop(std::size_t index) {
   ProducerState& st = *states_[index];
+  std::vector<std::uint64_t> words(config_.block_bits / 64);
   std::vector<std::uint8_t> block(config_.block_bits / 8);
 
   while (!stopping_.load(std::memory_order_acquire)) {
     // Generate and health-test one block.  The monitor is sticky once
-    // alarmed, so `healthy` reflects the whole block.  Bits are batched
-    // into 64-sample words (LSB-first emission order) so the RCT/APT run
-    // their word-parallel feed path; the alarm decisions are identical to
-    // per-bit feeding.
+    // alarmed, so `healthy` reflects the whole block; word-wise feeding
+    // alarms at exactly the sample per-bit feeding would.
+    st.source->generate_words(words.data(), words.size());
     bool healthy = true;
-    std::uint64_t health_acc = 0;
-    std::size_t health_n = 0;
-    for (std::size_t byte = 0; byte < block.size(); ++byte) {
-      std::uint8_t v = 0;
-      for (int b = 0; b < 8; ++b) {
-        const bool bit = st.source->next_bit();
-        v = static_cast<std::uint8_t>((v << 1) | (bit ? 1u : 0u));
-        if (bit) health_acc |= std::uint64_t{1} << health_n;
-        ++health_n;
-      }
-      block[byte] = v;
-      if (health_n == 64) {
-        healthy = st.monitor.feed_word(health_acc, 64) && healthy;
-        health_acc = 0;
-        health_n = 0;
-      }
-    }
-    if (health_n != 0) {
-      healthy = st.monitor.feed_word(health_acc, health_n) && healthy;
+    for (std::uint64_t w : words) {
+      healthy = st.monitor.feed_word(w, 64) && healthy;
     }
 
     if (!healthy) {
@@ -133,22 +135,30 @@ void EntropyPool::producer_loop(std::size_t index) {
       // blocks only, under the lock, so cert_snapshot() always observes
       // block-aligned tracker state.
       std::lock_guard<std::mutex> lock(st.tracker_mutex);
-      st.tracker.feed_bytes(block.data(), block.size());
+      for (std::uint64_t w : words) st.tracker.feed_word(w, 64);
     }
-    for (std::uint8_t v : block) {
-      if (!buffer_.push(v)) return;  // pool stopped while we were blocked
+    // Serve the stream MSB-first: byte 8w + j of the block holds bits
+    // 64w + 8j .. 64w + 8j + 7, the first of them in the top bit.
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      const std::uint64_t v = support::wordops::reverse_bits_in_bytes(words[w]);
+      for (std::size_t j = 0; j < 8; ++j) {
+        block[8 * w + j] = static_cast<std::uint8_t>(v >> (8 * j));
+      }
+    }
+    if (!buffer_.push_n(block.data(), block.size())) {
+      return;  // pool stopped while we were blocked
     }
     bytes_produced_.fetch_add(block.size(), std::memory_order_relaxed);
   }
 }
 
 std::vector<std::uint8_t> EntropyPool::get_bytes(std::size_t n) {
-  std::vector<std::uint8_t> out;
-  out.reserve(n);
-  while (out.size() < n) {
-    std::optional<std::uint8_t> byte = buffer_.pop();
-    if (!byte) throw EntropyExhausted();  // closed and drained
-    out.push_back(*byte);
+  std::vector<std::uint8_t> out(n);
+  std::size_t filled = 0;
+  while (filled < n) {
+    const std::size_t got = buffer_.pop_n(out.data() + filled, n - filled);
+    if (got == 0) throw EntropyExhausted();  // closed and drained
+    filled += got;
   }
   return out;
 }

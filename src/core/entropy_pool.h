@@ -3,6 +3,14 @@
 // (stats/health.h RCT + APT) over every bit they emit, and feed a bounded
 // shared buffer that consumers drain via get_bytes().
 //
+// The path is block-granular end to end: a producer draws a block of
+// 64-bit words from its source (TrngSource::generate_words), feeds the
+// health tests and its tracker one word at a time, and publishes the
+// block into the buffer as one contiguous span; get_bytes() copies spans
+// out.  Served bytes pack the source stream MSB-first (stream bit 8k is
+// the top bit of byte k), as the BitStream::from_bytes convention reads
+// them back.
+//
 // Failure policy (the deployment behaviour SP 800-90B section 4.3 asks an
 // entropy source to document):
 //  * a block during which a producer's health monitor alarms is discarded
@@ -38,9 +46,12 @@ namespace dhtrng::core {
 struct EntropyPoolConfig {
   std::size_t producers = 4;
   /// Bounded buffer capacity; full buffer backpressures the producers.
+  /// Rounded up to a whole number of blocks (at least one), so every
+  /// block fits the buffer and is published as one contiguous span.
   std::size_t buffer_bytes = 1 << 16;
-  /// Production granularity: bits generated and health-tested per push.
-  /// Must be a multiple of 8.
+  /// Production granularity: bits generated, health-tested and published
+  /// per block.  Must be a positive multiple of 64 (sources hand over
+  /// whole 64-bit words).
   std::size_t block_bits = 4096;
   /// H-claim for the RCT/APT cutoffs (per-bit min-entropy).
   double min_entropy_per_bit = 0.9;
@@ -119,8 +130,9 @@ class EntropyPool {
   EntropyPool(EntropyPool&&) = delete;
 
   /// Blocks until `n` health-tested bytes are available (FIFO across
-  /// producers).  Throws EntropyExhausted once all producers are retired
-  /// and the buffered remainder cannot cover the request.
+  /// producers; a lone consumer sees whole blocks back to back).  Throws
+  /// EntropyExhausted once all producers are retired and the buffered
+  /// remainder cannot cover the request.
   std::vector<std::uint8_t> get_bytes(std::size_t n);
 
   /// Stop producers and wake blocked consumers; idempotent (the destructor
@@ -151,6 +163,8 @@ class EntropyPool {
   const stats::streaming::TrackerConfig& tracker_config() const {
     return tracker_config_;
   }
+  /// Buffer capacity in bytes (buffer_bytes rounded up to whole blocks).
+  std::size_t buffer_capacity() const { return buffer_.capacity(); }
 
  private:
   struct ProducerState {

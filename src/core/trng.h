@@ -25,6 +25,13 @@ class TrngSource {
   /// One sampled output bit (one sampling-clock cycle).
   virtual bool next_bit() = 0;
 
+  /// The next 64 * `n` bits of the stream as `n` words, LSB-first: bit b
+  /// of out[w] is stream bit 64w + b.  The default packs next_bit(); word-
+  /// parallel sources override it with their native step.  Either way
+  /// the stream continues exactly where next_bit() would have, so the two
+  /// entry points may be interleaved.
+  virtual void generate_words(std::uint64_t* out, std::size_t n);
+
   /// Append `nbits` bits to `out` (default: repeated next_bit()).
   virtual void generate(support::BitStream& out, std::size_t nbits);
 

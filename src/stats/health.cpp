@@ -24,8 +24,56 @@ bool RepetitionCountTest::feed(bool bit) {
   return !alarmed_;
 }
 
+namespace {
+
+/// Whether `x` holds a run of at least `len` (2..64) equal bits: after
+/// the loop, bit i of `ones` (`zeros`) is set iff bits i .. i+len-1 of x
+/// all were 1 (0).  Zeros shift in from the top, so no run is invented
+/// past bit 63.  The trip count depends on `len` only, so the loop branch
+/// predicts well.
+bool has_run(std::uint64_t x, std::size_t len) {
+  std::uint64_t ones = x;
+  std::uint64_t zeros = ~x;
+  std::size_t have = 1;
+  for (; have * 2 <= len; have *= 2) {
+    ones &= ones >> have;
+    zeros &= zeros >> have;
+  }
+  if (have < len) {
+    ones &= ones >> (len - have);
+    zeros &= zeros >> (len - have);
+  }
+  return (ones | zeros) != 0;
+}
+
+}  // namespace
+
 bool RepetitionCountTest::feed_word(std::uint64_t bits, std::size_t nbits) {
   if (alarmed_) return false;
+  if (nbits == 64) {
+    // O(1) path: a word can reach the cutoff only through the run it
+    // carries in from the previous word or a run wholly inside it.  When
+    // neither can, the state after the word is just its top run.
+    // Flipping the word when its end bit is 1 turns that end's run into
+    // a run of zeros, counted without a branch on the data.
+    const bool first = (bits & 1u) != 0;
+    const bool top = (bits >> 63) != 0;
+    const auto lead = static_cast<std::size_t>(
+        std::countr_zero(first ? ~bits : bits));
+    const bool carried = primed_ && first == last_;
+    const bool may_alarm = (carried && run_ + lead >= cutoff_) ||
+                           (cutoff_ <= 64 && has_run(bits, cutoff_));
+    if (!may_alarm) {
+      if (lead == 64) {
+        run_ = carried ? run_ + 64 : 64;
+      } else {
+        run_ = static_cast<std::size_t>(std::countl_zero(top ? ~bits : bits));
+      }
+      last_ = top;
+      primed_ = true;
+      return true;
+    }
+  }
   std::size_t i = 0;
   while (i < nbits) {
     const bool bit = (bits >> i) & 1;

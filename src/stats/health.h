@@ -25,15 +25,19 @@ class RepetitionCountTest {
   bool feed(bool bit);
 
   /// Feed `nbits` <= 64 samples at once, bit i of `bits` being the i-th
-  /// sample (LSB-first emission order).  Runs are consumed with trailing
-  /// zero/one counts instead of per-bit branches; the resulting state —
-  /// including the frozen run length at an alarm — is exactly what the
-  /// equivalent sequence of feed() calls leaves behind, and the return
-  /// value is the conjunction of their return values.
+  /// sample (LSB-first emission order).  A full 64-bit word that cannot
+  /// reach the cutoff (checked with a shift-AND run detector plus the
+  /// carried-in run) costs O(1); otherwise runs are consumed with trailing
+  /// zero/one counts instead of per-bit branches.  Either way the
+  /// resulting state — including the frozen run length at an alarm — is
+  /// exactly what the equivalent sequence of feed() calls leaves behind,
+  /// and the return value is the conjunction of their return values.
   bool feed_word(std::uint64_t bits, std::size_t nbits);
 
   bool alarmed() const { return alarmed_; }
   std::size_t cutoff() const { return cutoff_; }
+  /// Length of the current run (frozen at the cutoff once alarmed).
+  std::size_t run() const { return run_; }
   void reset();
 
  private:

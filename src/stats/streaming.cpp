@@ -14,6 +14,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "support/special_functions.h"
@@ -132,24 +133,32 @@ double replica_markov_h(std::uint64_t n_, std::uint64_t ones_,
     }
   }
   constexpr int kSteps = 128;
-  std::array<double, 2> logp = {
-      p_init[0] > 0 ? std::log2(p_init[0]) : -1e300,
-      p_init[1] > 0 ? std::log2(p_init[1]) : -1e300};
+  double p0 = p_init[0] > 0 ? std::log2(p_init[0]) : -1e300;
+  double p1 = p_init[1] > 0 ? std::log2(p_init[1]) : -1e300;
+  // The scalar DP below, rearranged without changing a bit of it:
+  //  * each transition's log2 is taken once instead of once per step;
+  //  * an impossible transition (t = 0, skipped by the scalar loop) gets
+  //    -inf, which no max picks over a finite value;
+  //  * the scalar loop floors every step at -1e300; the floor moves to the
+  //    end.  Rounded addition is monotone, so max(F, u) + l equals
+  //    max(F + l, u + l), and F + l <= F because every log2(t) <= 0: by
+  //    induction each floored value is max(F, unfloored value).
+  // The same sums then meet the same maxes, so the result is the scalar
+  // kernel's exactly; the step's critical path loses one max.
+  constexpr double kFloor = -1e300;
+  constexpr double kNever = -std::numeric_limits<double>::infinity();
+  const auto log_t = [&t](std::size_t a, std::size_t b) {
+    return t[a][b] > 0.0 ? std::log2(t[a][b]) : kNever;
+  };
+  const double l00 = log_t(0, 0), l01 = log_t(0, 1);
+  const double l10 = log_t(1, 0), l11 = log_t(1, 1);
   for (int step = 1; step < kSteps; ++step) {
-    std::array<double, 2> next = {-1e300, -1e300};
-    for (int a = 0; a < 2; ++a) {
-      for (int b = 0; b < 2; ++b) {
-        const double tr =
-            t[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
-        if (tr <= 0.0) continue;
-        next[static_cast<std::size_t>(b)] =
-            std::max(next[static_cast<std::size_t>(b)],
-                     logp[static_cast<std::size_t>(a)] + std::log2(tr));
-      }
-    }
-    logp = next;
+    const double n0 = std::max(p0 + l00, p1 + l10);
+    const double n1 = std::max(p0 + l01, p1 + l11);
+    p0 = n0;
+    p1 = n1;
   }
-  const double best = std::max(logp[0], logp[1]);
+  const double best = std::max(kFloor, std::max(p0, p1));
   const double p_max = std::pow(2.0, best / kSteps);
   return h_from_p_max(p_max);
 }
@@ -349,6 +358,82 @@ void SourceTracker::step_byte_msb(std::uint8_t v) {
   if (w_fill_ == config_.window_bits) finish_window();
 }
 
+// Requires n_ % 64 == 0 and block_len, window_bits >= 64 on entry
+// (word_steps_ok()): the word then fills part of exactly one block and
+// one window.  Branch-free on the data, and one popcount: the ones count
+// comes from the walk's displacement and the three in-word transition
+// classes from the ones and transition counts.
+void SourceTracker::step_word_lsb(std::uint64_t x) {
+  const bool had = n_ > 0;
+  const bool first = (x & 1u) != 0;
+  const bool last = (x >> 63) != 0;
+
+  // ±1 walk over the word: displacement and prefix extremes from the
+  // byte tables.  The suffix sums are delta - P_i over the prefix sums
+  // P_0 = 0 .. P_64, so their extremes follow from the prefix extremes;
+  // they include the empty suffix, which the updates below clamp to
+  // anyway.
+  std::int64_t delta = 0;
+  std::int64_t pfx_max = -64;
+  std::int64_t pfx_min = 64;
+  for (unsigned j = 0; j < 8; ++j) {
+    const wo::ByteWalk fw = wo::kWalkForward[(x >> (8 * j)) & 0xffu];
+    pfx_max = std::max<std::int64_t>(pfx_max, delta + fw.max_prefix);
+    pfx_min = std::min<std::int64_t>(pfx_min, delta + fw.min_prefix);
+    delta += fw.delta;
+  }
+  const std::int64_t sfx_max = delta - std::min<std::int64_t>(0, pfx_min);
+  const std::int64_t sfx_min = delta - std::max<std::int64_t>(0, pfx_max);
+
+  // The 63 in-word pairs (bit i -> bit i+1): `from_ones` have a 1 at the
+  // lower bit, `to_ones` at the upper one, and 1->1 pairs count in both.
+  const auto pop = static_cast<std::uint64_t>((delta + 64) / 2);
+  constexpr std::uint64_t kPairs = ~std::uint64_t{0} >> 1;  // 63 pairs
+  const auto trans =
+      static_cast<std::uint64_t>(std::popcount((x ^ (x >> 1)) & kPairs));
+  const std::uint64_t from_ones = pop - (last ? 1u : 0u);
+  const std::uint64_t to_ones = pop - (first ? 1u : 0u);
+  const std::uint64_t b11 = (from_ones + to_ones - trans) / 2;
+  const std::uint64_t b10 = from_ones - b11;
+  const std::uint64_t b01 = to_ones - b11;
+  // The pair across the seam with the previous word, if there is one.
+  const std::uint64_t p = last_bit_ ? 1u : 0u;
+  const std::uint64_t f = first ? 1u : 0u;
+  const std::uint64_t s11 = p & f;
+  const std::uint64_t s10 = p & (f ^ 1u);
+  const std::uint64_t s01 = (p ^ 1u) & f;
+  const std::uint64_t seam = had ? 1u : 0u;
+  const std::uint64_t w_seam = w_fill_ > 0 ? 1u : 0u;
+
+  if (!had) first_bit_ = first;
+  n_ += 64;
+  ones_ += pop;
+  transitions_ += trans + seam * (p ^ f);
+  last_bit_ = last;
+  t11_ += b11 + seam * s11;
+  t10_ += b10 + seam * s10;
+  t01_ += b01 + seam * s01;
+  max_prefix_ = std::max(max_prefix_, walk_ + pfx_max);
+  min_prefix_ = std::min(min_prefix_, walk_ + pfx_min);
+  max_suffix_ = std::max<std::int64_t>({0, sfx_max, max_suffix_ + delta});
+  min_suffix_ = std::min<std::int64_t>({0, sfx_min, min_suffix_ + delta});
+  walk_ += delta;
+  cur_block_ones_ += pop;
+  cur_block_fill_ += 64;
+  if (cur_block_fill_ == config_.block_len) finish_block();
+  w_t11_ += b11 + w_seam * s11;
+  w_t10_ += b10 + w_seam * s10;
+  w_t01_ += b01 + w_seam * s01;
+  w_ones_ += pop;
+  w_fill_ += 64;
+  if (w_fill_ == config_.window_bits) finish_window();
+}
+
+bool SourceTracker::word_steps_ok() const {
+  return (n_ % 64) == 0 && config_.block_len >= 64 &&
+         config_.window_bits >= 64;
+}
+
 void SourceTracker::finish_block() {
   const std::int64_t d = static_cast<std::int64_t>(cur_block_ones_) -
                          static_cast<std::int64_t>(config_.block_len / 2);
@@ -384,6 +469,10 @@ void SourceTracker::feed_word(std::uint64_t bits, std::size_t nbits) {
   if (nbits > 64) {
     throw std::invalid_argument("SourceTracker::feed_word: nbits > 64");
   }
+  if (nbits == 64 && word_steps_ok()) {
+    step_word_lsb(bits);
+    return;
+  }
   while (nbits >= 8 && (n_ % 8) == 0) {
     step_byte_lsb(static_cast<std::uint8_t>(bits & 0xff));
     bits >>= 8;
@@ -395,7 +484,19 @@ void SourceTracker::feed_word(std::uint64_t bits, std::size_t nbits) {
 }
 
 void SourceTracker::feed_bytes(const std::uint8_t* data, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
+  std::size_t i = 0;
+  if (word_steps_ok()) {
+    // Eight MSB-first bytes are one LSB-first word once each byte's bits
+    // are reversed in place.
+    for (; i + 8 <= len; i += 8) {
+      std::uint64_t packed = 0;
+      for (unsigned j = 0; j < 8; ++j) {
+        packed |= std::uint64_t{data[i + j]} << (8 * j);
+      }
+      step_word_lsb(support::wordops::reverse_bits_in_bytes(packed));
+    }
+  }
+  for (; i < len; ++i) {
     if ((n_ % 8) == 0) {
       step_byte_msb(data[i]);
     } else {

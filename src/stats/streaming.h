@@ -133,6 +133,11 @@ struct Snapshot {
 ///  * feed_bytes(p, len)       — bytes unpacked MSB-first (the pool's
 ///                               emission packing and
 ///                               BitStream::from_bytes convention).
+/// Whenever the stream sits on a 64-bit boundary and block_len and
+/// window_bits are both >= 64, feed_word (with nbits = 64) and feed_bytes
+/// (eight bytes at a time) advance the state one whole word per step.
+/// The sub-word steps take over otherwise; every path yields the same
+/// state.
 class SourceTracker {
  public:
   explicit SourceTracker(TrackerConfig config = {});
@@ -155,6 +160,9 @@ class SourceTracker {
   void step_bit(bool bit);
   void step_byte_lsb(std::uint8_t v);
   void step_byte_msb(std::uint8_t v);
+  void step_word_lsb(std::uint64_t x);
+  /// True when a 64-bit word step lands inside one block and one window.
+  bool word_steps_ok() const;
   void finish_block();
   void finish_window();
 

@@ -9,12 +9,19 @@
 //    pops keep draining the remaining items and then fail — so a consumer
 //    always sees every item produced before the close.
 // FIFO order is global: items come out in the order their pushes completed.
+//
+// The span calls move many items per lock round trip: push_n publishes a
+// whole span at once (it waits for room for all of it, so the span stays
+// contiguous in FIFO order), and pop_n takes whatever is buffered up to
+// its limit.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -62,6 +69,55 @@ class RingBuffer {
     return true;
   }
 
+  /// Blocking push of `items[0..n)` as one contiguous span: waits until
+  /// all `n` fit, then publishes them under one lock.  Returns false
+  /// (pushing nothing) once closed.  Throws std::invalid_argument when
+  /// `n` exceeds the capacity, which no amount of waiting would admit.
+  bool push_n(const T* items, std::size_t n) {
+    if (n > slots_.size()) {
+      throw std::invalid_argument("RingBuffer::push_n: span exceeds capacity");
+    }
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      not_full_.wait(lock, [this, n] {
+        return closed_ || slots_.size() - count_ >= n;
+      });
+      if (closed_) return false;
+      const std::size_t tail = (head_ + count_) % slots_.size();
+      const std::size_t first = std::min(n, slots_.size() - tail);
+      std::copy(items, items + first, slots_.begin() +
+                                          static_cast<std::ptrdiff_t>(tail));
+      std::copy(items + first, items + n, slots_.begin());
+      count_ += n;
+    }
+    not_empty_.notify_all();  // the span may cover several waiting pops
+    return true;
+  }
+
+  /// Blocking pop of up to `max` items into `out`: waits for at least one,
+  /// then takes everything buffered up to `max`.  Returns the count taken;
+  /// 0 only after close() with the buffer drained (or for max == 0).
+  std::size_t pop_n(T* out, std::size_t max) {
+    if (max == 0) return 0;
+    std::size_t n = 0;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      not_empty_.wait(lock, [this] { return closed_ || count_ > 0; });
+      n = std::min(max, count_);
+      const std::size_t first = std::min(n, slots_.size() - head_);
+      const auto head = slots_.begin() + static_cast<std::ptrdiff_t>(head_);
+      std::move(head, head + static_cast<std::ptrdiff_t>(first), out);
+      std::move(slots_.begin(),
+                slots_.begin() + static_cast<std::ptrdiff_t>(n - first),
+                out + first);
+      head_ = (head_ + n) % slots_.size();
+      count_ -= n;
+    }
+    // Pushers wait for room for whole spans of differing sizes.
+    if (n > 0) not_full_.notify_all();
+    return n;
+  }
+
   /// Blocking pop; empty optional only after close() with the buffer drained.
   std::optional<T> pop() {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -93,7 +149,9 @@ class RingBuffer {
     head_ = (head_ + 1) % slots_.size();
     --count_;
     lock.unlock();
-    not_full_.notify_one();
+    // All, not one: a woken push_n may still lack room for its span while
+    // a single-item push could proceed.
+    not_full_.notify_all();
     return item;
   }
 

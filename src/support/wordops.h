@@ -62,6 +62,15 @@ constexpr std::uint64_t bit_reverse(std::uint64_t v, unsigned m) {
   return r;
 }
 
+/// Reverse the bit order inside each of the eight bytes of `v`, leaving
+/// the byte order alone.  Maps a word of eight LSB-first packed bytes to
+/// eight MSB-first packed bytes and back (the map is its own inverse).
+constexpr std::uint64_t reverse_bits_in_bytes(std::uint64_t v) {
+  v = ((v >> 1) & 0x5555555555555555u) | ((v & 0x5555555555555555u) << 1);
+  v = ((v >> 2) & 0x3333333333333333u) | ((v & 0x3333333333333333u) << 2);
+  return ((v >> 4) & 0x0f0f0f0f0f0f0f0fu) | ((v & 0x0f0f0f0f0f0f0f0fu) << 4);
+}
+
 /// Call `emit(value, length)` for each maximal run of identical bits in
 /// [begin, begin + len) of the stream, in order.  Runs are consumed with
 /// trailing-one counts on 64-bit chunks, so the cost is O(runs + len/64)

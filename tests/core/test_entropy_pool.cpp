@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -64,6 +67,165 @@ TEST(EntropyPool, RejectsBadConfig) {
                std::invalid_argument);
   EXPECT_THROW(EntropyPool({.block_bits = 12}, ideal_factory()),
                std::invalid_argument);
+  // A multiple of 8 but not of 64: blocks are whole 64-bit words.
+  EXPECT_THROW(EntropyPool({.block_bits = 72}, ideal_factory()),
+               std::invalid_argument);
+  EXPECT_THROW(EntropyPool({.block_bits = 0}, ideal_factory()),
+               std::invalid_argument);
+}
+
+TEST(EntropyPool, BufferCapacityRoundsUpToWholeBlocks) {
+  // Blocks are published whole, so the buffer holds a whole number of
+  // them — at least one, even when buffer_bytes is smaller than a block.
+  const auto capacity = [](std::size_t buffer_bytes, std::size_t block_bits) {
+    EntropyPool pool({.producers = 1, .buffer_bytes = buffer_bytes,
+                      .block_bits = block_bits},
+                     ideal_factory());
+    return pool.buffer_capacity();
+  };
+  EXPECT_EQ(capacity(128, 512), 128u);
+  EXPECT_EQ(capacity(100, 512), 128u);
+  EXPECT_EQ(capacity(10, 512), 64u);
+  EXPECT_EQ(capacity(0, 4096), 512u);
+  EXPECT_EQ(capacity(1000, 768), 1056u);  // 11 blocks of 96 bytes
+
+  // A buffer smaller than one block still serves (no deadlock).
+  EntropyPool pool({.producers = 2, .buffer_bytes = 16, .block_bits = 4096},
+                   ideal_factory());
+  EXPECT_EQ(pool.get_bytes(2048).size(), 2048u);
+}
+
+// --- Stream identity: the pool serves each producer's source stream
+// --- verbatim, MSB-first, a whole block at a time. ----------------------
+
+/// Records the seed of every source the pool builds, per producer slot.
+struct SeedLog {
+  std::mutex mutex;
+  std::vector<std::vector<std::uint64_t>> seeds;
+
+  explicit SeedLog(std::size_t producers) : seeds(producers) {}
+  EntropyPool::SourceFactory factory() {
+    return [this](std::size_t index, std::uint64_t seed) {
+      std::lock_guard<std::mutex> lock(mutex);
+      seeds[index].push_back(seed);
+      return std::make_unique<IdealSource>(seed);
+    };
+  }
+  std::uint64_t first(std::size_t index) {
+    std::lock_guard<std::mutex> lock(mutex);
+    return seeds[index].front();
+  }
+};
+
+/// The first `n` bytes of `source`'s next_bit() stream, packed MSB-first.
+std::vector<std::uint8_t> msb_first_bytes(TrngSource& source, std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::uint8_t& v : bytes) {
+    for (int b = 0; b < 8; ++b) {
+      v = static_cast<std::uint8_t>((v << 1) | (source.next_bit() ? 1 : 0));
+    }
+  }
+  return bytes;
+}
+
+/// Pulls `total` bytes in uneven request sizes (partial spans, requests
+/// straddling block seams).
+std::vector<std::uint8_t> drain_unevenly(EntropyPool& pool, std::size_t total) {
+  static constexpr std::size_t kSizes[] = {1, 37, 64, 100, 3, 511, 200};
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; out.size() < total; ++i) {
+    const std::size_t n =
+        std::min(kSizes[i % std::size(kSizes)], total - out.size());
+    const auto got = pool.get_bytes(n);
+    out.insert(out.end(), got.begin(), got.end());
+  }
+  return out;
+}
+
+TEST(EntropyPool, SingleProducerServesMsbFirstPackingOfTwinStream) {
+  for (const bool certify : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "certify=" << certify);
+    constexpr std::size_t kBlockBits = 512;
+    SeedLog log(1);
+    // H = 0.5 puts the RCT/APT false-alarm rate far below one per test,
+    // so no reseed splices a second stream in.
+    EntropyPool pool({.producers = 1, .buffer_bytes = 1024,
+                      .block_bits = kBlockBits, .min_entropy_per_bit = 0.5,
+                      .seed = 77, .certify = certify},
+                     log.factory());
+    const auto served = drain_unevenly(pool, 4096);
+    pool.stop();
+    ASSERT_EQ(pool.quarantine_events(), 0u);
+
+    IdealSource twin(log.first(0));
+    const std::size_t produced = pool.bytes_produced();
+    const auto expected = msb_first_bytes(twin, produced + kBlockBits / 8);
+    ASSERT_GE(produced, served.size());
+    EXPECT_TRUE(std::equal(served.begin(), served.end(), expected.begin()));
+
+    const PoolCertSnapshot cert = pool.cert_snapshot();
+    if (!certify) {
+      EXPECT_TRUE(cert.producers.empty());
+      continue;
+    }
+    // The tracker saw every block that passed the gate: the produced
+    // ones, plus at most the one whose push the stop() cut short.
+    ASSERT_EQ(cert.producers.size(), 1u);
+    const std::size_t tracked = cert.producers[0].bits / 8;
+    EXPECT_TRUE(tracked == produced || tracked == produced + kBlockBits / 8);
+    stats::streaming::SourceTracker replica(pool.tracker_config());
+    replica.feed_bytes(expected.data(), tracked);
+    const stats::streaming::Snapshot a = replica.snapshot();
+    const stats::streaming::Snapshot& b = cert.producers[0];
+    EXPECT_EQ(a.ones, b.ones);
+    EXPECT_EQ(a.runs_v, b.runs_v);
+    EXPECT_EQ(a.cusum_fwd_peak, b.cusum_fwd_peak);
+    EXPECT_EQ(a.cusum_bwd_peak, b.cusum_bwd_peak);
+    EXPECT_EQ(a.block_sum_sq, b.block_sum_sq);
+    EXPECT_EQ(a.markov_t11, b.markov_t11);
+    EXPECT_EQ(a.markov_t10, b.markov_t10);
+    EXPECT_EQ(a.markov_t01, b.markov_t01);
+    EXPECT_EQ(a.windows, b.windows);
+    EXPECT_EQ(a.window_markov_h_min, b.window_markov_h_min);
+    EXPECT_EQ(a.pass(), b.pass());
+  }
+}
+
+TEST(EntropyPool, ManyProducersServeWholeBlocksFromTwinStreams) {
+  // Each aligned block-sized span a lone consumer reads is the next block
+  // of exactly one producer's twin stream.
+  constexpr std::size_t kProducers = 3;
+  constexpr std::size_t kBlockBytes = 64;
+  SeedLog log(kProducers);
+  EntropyPool pool({.producers = kProducers, .buffer_bytes = 256,
+                    .block_bits = kBlockBytes * 8, .min_entropy_per_bit = 0.5,
+                    .seed = 78},
+                   log.factory());
+  const auto served = drain_unevenly(pool, 96 * kBlockBytes);
+  pool.stop();
+  ASSERT_EQ(pool.quarantine_events(), 0u);
+
+  std::vector<std::vector<std::uint8_t>> twins;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    IdealSource twin(log.first(p));
+    twins.push_back(msb_first_bytes(twin, served.size()));
+  }
+  std::vector<std::size_t> cursor(kProducers, 0);
+  for (std::size_t off = 0; off < served.size(); off += kBlockBytes) {
+    std::size_t matches = 0;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      if (cursor[p] + kBlockBytes <= twins[p].size() &&
+          std::equal(served.begin() + static_cast<std::ptrdiff_t>(off),
+                     served.begin() +
+                         static_cast<std::ptrdiff_t>(off + kBlockBytes),
+                     twins[p].begin() +
+                         static_cast<std::ptrdiff_t>(cursor[p]))) {
+        cursor[p] += kBlockBytes;
+        ++matches;
+      }
+    }
+    ASSERT_EQ(matches, 1u) << "span at byte " << off;
+  }
 }
 
 TEST(EntropyPool, ConcurrentConsumersDrainWithoutLossOrDuplication) {

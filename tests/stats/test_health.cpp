@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/dhtrng.h"
 #include "support/rng.h"
 
@@ -36,6 +40,112 @@ TEST(RepetitionCountTest, ResetClearsAlarm) {
   rct.reset();
   EXPECT_FALSE(rct.alarmed());
   EXPECT_TRUE(rct.feed(true));
+}
+
+// --- RCT word path: a 64-bit word that cannot reach the cutoff takes an
+// --- O(1) step; the per-bit feed() is the oracle at every word seam. ---
+
+/// A stream with one planted run of `len` copies of `value` starting at
+/// bit `start`, inside filler whose own runs never exceed 4, framed so the
+/// planted run is exactly `len` long.
+std::vector<bool> stream_with_run(std::size_t start, std::size_t len,
+                                  bool value, std::size_t total,
+                                  std::uint64_t seed) {
+  support::SplitMix64 rng(seed);
+  std::vector<bool> bits;
+  std::size_t filler_run = 0;
+  const auto filler = [&] {
+    bool bit = (rng.next() & 1) != 0;
+    if (!bits.empty() && filler_run == 4 && bit == bits.back()) bit = !bit;
+    filler_run = (!bits.empty() && bit == bits.back()) ? filler_run + 1 : 1;
+    bits.push_back(bit);
+  };
+  while (bits.size() + 1 < start) filler();
+  if (start > 0) bits.push_back(!value);
+  for (std::size_t i = 0; i < len; ++i) bits.push_back(value);
+  bits.push_back(!value);
+  filler_run = 1;
+  while (bits.size() < total) filler();
+  return bits;
+}
+
+/// Feeds `bits` per bit to one RCT and in 64-bit words to another, and
+/// checks return value, alarm and run length agree at every word seam.
+/// Returns the index of the per-bit alarm (or bits.size() if none).
+std::size_t expect_word_feed_matches_bits(const std::vector<bool>& bits,
+                                          double h) {
+  RepetitionCountTest serial(h);
+  RepetitionCountTest batch(h);
+  std::size_t alarm_at = bits.size();
+  for (std::size_t i = 0; i < bits.size(); i += 64) {
+    const std::size_t nbits = std::min<std::size_t>(64, bits.size() - i);
+    std::uint64_t word = 0;
+    bool serial_ok = true;
+    for (std::size_t j = 0; j < nbits; ++j) {
+      if (bits[i + j]) word |= std::uint64_t{1} << j;
+      const bool ok = serial.feed(bits[i + j]);
+      if (!ok && serial_ok && alarm_at == bits.size()) alarm_at = i + j;
+      serial_ok = ok && serial_ok;
+    }
+    EXPECT_EQ(serial_ok, batch.feed_word(word, nbits)) << "word at bit " << i;
+    EXPECT_EQ(serial.alarmed(), batch.alarmed()) << "word at bit " << i;
+    EXPECT_EQ(serial.run(), batch.run()) << "word at bit " << i;
+  }
+  return alarm_at;
+}
+
+TEST(RepetitionCountTest, WordPathAlarmsAtTheBitOracleSample) {
+  // Cutoffs below a word (24, 41), just above one (68) and well above
+  // (81); planted runs one short of, at, and far past the cutoff, at
+  // every start offset over two word seams — so the alarm sample lands on
+  // word offsets 0, 63 and 64 and runs cross one or two seams.
+  for (const double h : {0.9, 0.5, 0.3, 0.25}) {
+    const std::size_t cutoff = RepetitionCountTest(h).cutoff();
+    for (const std::size_t len : {cutoff - 1, cutoff, cutoff + 70}) {
+      for (std::size_t start = 40; start < 200; ++start) {
+        for (const bool value : {false, true}) {
+          SCOPED_TRACE(testing::Message() << "cutoff=" << cutoff << " len="
+                                          << len << " start=" << start
+                                          << " value=" << value);
+          const auto bits =
+              stream_with_run(start, len, value, start + len + 150, start);
+          const std::size_t alarm_at = expect_word_feed_matches_bits(bits, h);
+          if (len >= cutoff) {
+            EXPECT_EQ(alarm_at, start + cutoff - 1);
+          } else {
+            EXPECT_EQ(alarm_at, bits.size());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RepetitionCountTest, WordPathPinnedSeamCases) {
+  const std::size_t cutoff = RepetitionCountTest(0.9).cutoff();
+  ASSERT_EQ(cutoff, 24u);
+  const auto alarm_at = [](std::size_t start, std::size_t len, double h) {
+    return expect_word_feed_matches_bits(
+        stream_with_run(start, len, true, 400, start + len), h);
+  };
+  // Run wholly inside word 0, alarming on its last bit (offset 63).
+  EXPECT_EQ(alarm_at(40, cutoff, 0.9), 63u);
+  // Run crossing the seam by one bit: alarm at stream offset 64, the
+  // first bit of word 1, reached only through the carried-in run.
+  EXPECT_EQ(alarm_at(41, cutoff, 0.9), 64u);
+  // Run starting on word 1's offset 0.
+  EXPECT_EQ(alarm_at(64, cutoff, 0.9), 87u);
+  // Run crossing the next seam and continuing past the cutoff: alarm on
+  // offset 0 of word 2, run frozen at the cutoff.
+  EXPECT_EQ(alarm_at(105, cutoff + 6, 0.9), 128u);
+  // One short of the cutoff, wholly inside a word: no alarm.
+  EXPECT_EQ(alarm_at(130, cutoff - 1, 0.9), 400u);
+  // Cutoff above a word (H = 0.25): a run covering all of word 1 plus
+  // both neighbours' edges, one short of and at the cutoff.
+  const std::size_t long_cutoff = RepetitionCountTest(0.25).cutoff();
+  ASSERT_GT(long_cutoff, 64u);
+  EXPECT_EQ(alarm_at(50, long_cutoff - 1, 0.25), 400u);
+  EXPECT_EQ(alarm_at(50, long_cutoff, 0.25), 50 + long_cutoff - 1);
 }
 
 TEST(AdaptiveProportionTest, CutoffNearStandardValue) {

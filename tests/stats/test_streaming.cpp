@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -148,6 +149,36 @@ TEST(StreamingTracker, BlockAndWindowBoundariesMatchScalar) {
     EXPECT_EQ(snap.blocks, n / config.block_len);
     EXPECT_EQ(snap.windows, n / config.window_bits);
     expect_matches_scalar_oracle(snap, bits);
+  }
+}
+
+TEST(StreamingTracker, DegenerateWindowsMatchScalar) {
+  // Windows whose Markov transition table has empty rows or zero entries
+  // (constant, alternating, a single flip) drive the Markov DP through its
+  // impossible transitions and its -1e300 floor; fed through the 64-bit
+  // word step, every window must still equal the scalar kernel.
+  const TrackerConfig config{.block_len = 64, .window_bits = 128};
+  const auto pattern = [](auto bit_at) {
+    BitStream bits;
+    for (std::size_t i = 0; i < 1024; ++i) bits.push_back(bit_at(i));
+    return bits;
+  };
+  const BitStream cases[] = {
+      pattern([](std::size_t) { return false; }),
+      pattern([](std::size_t) { return true; }),
+      pattern([](std::size_t i) { return (i & 1) != 0; }),
+      pattern([](std::size_t i) { return i % 128 == 127; }),
+      pattern([](std::size_t i) { return i % 128 != 0; }),
+      pattern([](std::size_t i) { return (i / 3) % 2 == 0; }),
+  };
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    SCOPED_TRACE(testing::Message() << "case " << c);
+    const BitStream& bits = cases[c];
+    SourceTracker tracker(config);
+    for (std::size_t i = 0; i < bits.size(); i += 64) {
+      tracker.feed_word(bits.chunk64(i), 64);
+    }
+    expect_matches_scalar_oracle(tracker.snapshot(), bits);
   }
 }
 

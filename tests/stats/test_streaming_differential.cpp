@@ -292,5 +292,81 @@ TEST(StreamingDifferential, SmallConfigsSweepBoundaries) {
   }
 }
 
+// Feed `bits` MSB-first through feed_bytes in calls of `chunk_bytes`
+// bytes, then the sub-byte tail bit by bit.
+SourceTracker feed_bytes_chunked(const BitStream& bits,
+                                 std::size_t chunk_bytes,
+                                 TrackerConfig config) {
+  SourceTracker tracker(config);
+  const std::vector<std::uint8_t> bytes = bits.to_bytes();
+  const std::size_t whole = bits.size() / 8;
+  for (std::size_t i = 0; i < whole; i += chunk_bytes) {
+    tracker.feed_bytes(bytes.data() + i, std::min(chunk_bytes, whole - i));
+  }
+  for (std::size_t i = whole * 8; i < bits.size(); ++i) {
+    tracker.feed_bit(bits[i]);
+  }
+  return tracker;
+}
+
+// Feed `bits` through feed_word with a repeating schedule of word sizes.
+SourceTracker feed_word_schedule(const BitStream& bits,
+                                 const std::vector<std::size_t>& schedule,
+                                 TrackerConfig config) {
+  SourceTracker tracker(config);
+  for (std::size_t i = 0, k = 0; i < bits.size(); ++k) {
+    const std::size_t nbits =
+        std::min(schedule[k % schedule.size()], bits.size() - i);
+    std::uint64_t w = 0;
+    for (std::size_t j = 0; j < nbits; ++j) {
+      if (bits[i + j]) w |= std::uint64_t{1} << j;
+    }
+    tracker.feed_word(w, nbits);
+    i += nbits;
+  }
+  return tracker;
+}
+
+TEST(StreamingDifferential, WordStepChunkingsMatchScalarOracle) {
+  // The 64-bit step runs when the stream sits on a 64-bit boundary and
+  // block and window are both >= 64.  Geometries below, at and above one
+  // word; chunkings that keep the step engaged (64-bit words, 16-byte
+  // spans) and ones that drop out of it and back in (odd byte counts,
+  // mixed word sizes).
+  const std::size_t kGeometry[] = {8, 32, 64, 128};
+  for (const std::size_t block_len : kGeometry) {
+    for (const std::size_t window_bits : kGeometry) {
+      const TrackerConfig config{.block_len = block_len,
+                                 .window_bits = window_bits};
+      for (std::uint64_t seed = 126; seed <= 135; ++seed) {
+        const std::size_t n = seed % 2 == 0 ? 4096 : 2000 + seed * 37;
+        const BitStream bits = make_stream(seed, n);
+        SCOPED_TRACE(testing::Message()
+                     << "block_len=" << block_len << " window_bits="
+                     << window_bits << " seed=" << seed << " n=" << n);
+        const Snapshot by_bit = feed_chunked(bits, 1, config).snapshot();
+        expect_matches_oracle(by_bit, bits, config);
+        {
+          SCOPED_TRACE("64-bit words");
+          expect_snapshots_identical(by_bit,
+                                     feed_chunked(bits, 64, config).snapshot());
+        }
+        for (const std::size_t chunk_bytes : {16u, 13u, 3u, 1u}) {
+          SCOPED_TRACE(testing::Message() << "bytes x" << chunk_bytes);
+          expect_snapshots_identical(
+              by_bit, feed_bytes_chunked(bits, chunk_bytes, config).snapshot());
+        }
+        {
+          SCOPED_TRACE("word schedule 8,56,64,64,24,40");
+          expect_snapshots_identical(
+              by_bit,
+              feed_word_schedule(bits, {8, 56, 64, 64, 24, 40}, config)
+                  .snapshot());
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dhtrng::stats::streaming
