@@ -66,9 +66,10 @@ int main(int argc, char** argv) {
   dhtrng::bench::header(
       "gen microbench: bitsliced SoA backend vs scalar per-instance path",
       "bulk-generation speedup (repo infrastructure; not a paper table)");
-  std::printf("config: %zu bits per rep, seed %llu, best of %d%s\n\n", nbits,
-              static_cast<unsigned long long>(seed), reps,
-              quick ? " (--quick)" : "");
+  std::printf("config: %zu bits per rep, seed %llu, best of %d%s, "
+              "simd_tier=%s\n\n",
+              nbits, static_cast<unsigned long long>(seed), reps,
+              quick ? " (--quick)" : "", dhtrng::bench::simd_tier());
 
   // Scalar path: one DH-TRNG instance advanced on one thread.  The SoA
   // acceptance metric is per-core, so the scalar side must not be allowed
@@ -109,6 +110,7 @@ int main(int argc, char** argv) {
   json << "{\n  \"bench\": \"gen_soa\",\n";
   json << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
   json << "  \"bits\": " << nbits << ",\n  \"seed\": " << seed << ",\n";
+  json << "  \"simd_tier\": \"" << dhtrng::bench::simd_tier() << "\",\n";
   json << "  \"scalar_ns_per_bit\": " << scalar_ns_bit << ",\n";
   json << "  \"soa_ns_per_bit\": " << soa_ns_bit << ",\n";
   json << "  \"scalar_mbit_per_s\": " << scalar_mbps << ",\n";

@@ -149,9 +149,10 @@ int main(int argc, char** argv) {
   dhtrng::bench::header(
       "sim microbench: calendar event engine vs reference heap",
       "event-engine speedup (repo infrastructure; not a paper table)");
-  std::printf("config: horizon %.0f ns per engine, seed %llu, best of %d%s\n\n",
+  std::printf("config: horizon %.0f ns per engine, seed %llu, best of %d%s, "
+              "simd_tier=%s\n\n",
               horizon_ps / 1e3, static_cast<unsigned long long>(seed), reps,
-              quick ? " (--quick)" : "");
+              quick ? " (--quick)" : "", dhtrng::bench::simd_tier());
   std::printf("%-18s %12s %14s %14s %9s %10s\n", "netlist", "events",
               "calendar ev/s", "reference ev/s", "speedup", "identical");
 
@@ -217,7 +218,9 @@ int main(int argc, char** argv) {
   json << "{\n  \"bench\": \"sim_microbench\",\n";
   json << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
   json << "  \"horizon_ns\": " << horizon_ps / 1e3 << ",\n";
-  json << "  \"seed\": " << seed << ",\n  \"cases\": [\n";
+  json << "  \"seed\": " << seed << ",\n";
+  json << "  \"simd_tier\": \"" << dhtrng::bench::simd_tier() << "\",\n";
+  json << "  \"cases\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CaseResult& r = results[i];
     json << "    {\"name\": \"" << r.name << "\", \"events\": " << r.events

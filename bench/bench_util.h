@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "fpga/device.h"
+#include "support/simd_noise.h"
 
 namespace dhtrng::bench {
 
@@ -110,6 +111,14 @@ inline std::string git_commit() {
   return s.empty() ? "unknown" : s;
 }
 
+/// Name of the SIMD dispatch tier the kernels run on ("avx512", "avx2",
+/// "neon" or "scalar").  Ratio gates that time SIMD kernels against a
+/// scalar path depend on it, so every JSON result and trajectory row
+/// records it.
+inline const char* simd_tier() {
+  return support::simd::tier_name(support::simd::active_tier());
+}
+
 /// Default trajectory path for a bench: all benches share one directory so
 /// the JSONL history accumulates in a predictable place (CI uploads the
 /// whole directory as an artifact).
@@ -140,6 +149,7 @@ inline void append_trajectory(const std::string& path,
   }
   out << "{\"date\": \"" << iso_date_utc() << "\", \"commit\": \""
       << git_commit() << "\", \"bench\": \"" << bench
+      << "\", \"simd_tier\": \"" << simd_tier()
       << "\", \"ns_per_event\": " << ns_per_event
       << ", \"mbit_per_s\": " << mbit_per_s;
   if (!extra_json.empty()) out << ", " << extra_json;

@@ -4,15 +4,17 @@
 // (dhtrng_soa_kernel*.cpp, which compile dhtrng_soa_engine.inc).
 //
 // Tier model: the step kernel is ONE source file compiled once at the
-// baseline architecture (`scalar_k`) and, on x86-64, once more with
-// -mavx2 -mfma (`avx2_k`).  Both TUs build with -ffp-contract=off, so the
-// floating-point operation sequence per lane is identical and the tiers
-// are bit-identical by construction (the same argument as the support
-// SIMD kernels; on aarch64 the baseline TU already vectorizes with NEON).
-// Guarded intrinsic fast paths inside the kernel are restricted to *exact*
-// operations — comparisons, sign-bit gathers, mask expansion — which
-// cannot round differently.  Dispatch keys off support::simd::active_tier()
-// so DHTRNG_FORCE_SCALAR and force_tier() cover the engine too.
+// baseline architecture (`scalar_k`) and, on x86-64, twice more: with
+// -mavx2 -mfma (`avx2_k`) and with -mavx512f -mavx512dq -mavx512vl -mfma
+// -mprefer-vector-width=512 (`avx512_k`).  Every TU builds with
+// -ffp-contract=off, so the floating-point operation sequence per lane is
+// identical and the tiers are bit-identical by construction (the same
+// argument as the support SIMD kernels; on aarch64 the baseline TU
+// already vectorizes with NEON).  Guarded intrinsic fast paths inside the
+// kernel are restricted to *exact* operations — comparisons into vector or
+// __mmask8 masks, sign-bit gathers, mask expansion — which cannot round
+// differently.  Dispatch keys off support::simd::active_tier() so
+// DHTRNG_FORCE_SCALAR and force_tier() cover the engine too.
 #pragma once
 
 #include <cstdint>
@@ -105,6 +107,9 @@ std::uint64_t soa_step(EngineState& st);
 namespace avx2_k {
 std::uint64_t soa_step(EngineState& st);
 }
+namespace avx512_k {
+std::uint64_t soa_step(EngineState& st);
+}
 #endif
 
 /// One step of all 64 lanes through the tier support::simd::active_tier()
@@ -113,8 +118,13 @@ std::uint64_t soa_step(EngineState& st);
 /// output word (bit l = lane l's bit).
 inline std::uint64_t step(EngineState& st) {
 #if defined(__x86_64__) || defined(_M_X64)
-  if (support::simd::active_tier() == support::simd::Tier::Avx2) {
-    return avx2_k::soa_step(st);
+  switch (support::simd::active_tier()) {
+    case support::simd::Tier::Avx512:
+      return avx512_k::soa_step(st);
+    case support::simd::Tier::Avx2:
+      return avx2_k::soa_step(st);
+    default:
+      break;
   }
 #endif
   return scalar_k::soa_step(st);

@@ -71,6 +71,7 @@ Simulator::Simulator(const Circuit& circuit, SimConfig config)
                     config.seed ^ 0xabcdef1234567890ULL),
       meta_rng_(config.seed ^ 0x5bd1e995cafef00dULL),
       dff_samples_(circuit.dffs().size()),
+      dff_read_(circuit.dffs().size(), 0),
       dff_recorded_(circuit.dffs().size(), 0),
       sample_counts_(circuit.dffs().size(), 0),
       edge_recorded_(circuit.net_count(), 0),
@@ -319,6 +320,28 @@ const std::vector<double>& Simulator::edge_times(NetId net) const {
 const std::vector<std::uint8_t>& Simulator::samples(
     std::size_t dff_index) const {
   return dff_samples_.at(dff_index);
+}
+
+bool Simulator::next_sample(std::size_t dff_index, double step_ps) {
+  if (dff_recorded_.at(dff_index) == 0) {
+    throw std::logic_error("next_sample on a flip-flop that is not recorded");
+  }
+  std::vector<std::uint8_t>& buf = dff_samples_[dff_index];
+  std::size_t& read = dff_read_[dff_index];
+  if (read == buf.size()) {
+    // Everything buffered has been read: release it (capacity is kept, so
+    // the steady state allocates nothing) and step until a sample lands.
+    buf.clear();
+    read = 0;
+    while (buf.empty()) run_until(now_ + step_ps);
+  }
+  return buf[read++] != 0;
+}
+
+std::size_t Simulator::buffered_samples() const {
+  std::size_t total = 0;
+  for (const auto& buf : dff_samples_) total += buf.size();
+  return total;
 }
 
 std::uint64_t Simulator::total_toggles() const {

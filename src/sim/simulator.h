@@ -103,7 +103,17 @@ class Simulator {
 
   /// Start recording the sampled bit of a flip-flop at every clock edge.
   void record_dff(std::size_t dff_index);
+  /// Recorded samples of a flip-flop not yet released by next_sample().
   const std::vector<std::uint8_t>& samples(std::size_t dff_index) const;
+
+  /// Read the next recorded sample of a recorded flip-flop, advancing
+  /// simulated time in steps of `step_ps` until one exists.  Once every
+  /// buffered sample has been read the buffer is released, so a streaming
+  /// reader holds only the samples of its last step, not its whole history.
+  bool next_sample(std::size_t dff_index, double step_ps);
+
+  /// Recorded samples currently buffered, over all flip-flops.
+  std::size_t buffered_samples() const;
 
   /// Start recording rising-edge timestamps of a net (for period/jitter
   /// analysis of oscillator nodes).
@@ -192,6 +202,7 @@ class Simulator {
   support::Xoshiro256 meta_rng_;                     // metastable resolution
 
   std::vector<std::vector<std::uint8_t>> dff_samples_;
+  std::vector<std::size_t> dff_read_;  ///< next_sample() cursor per DFF
   std::vector<std::uint8_t> dff_recorded_;
   std::vector<std::uint64_t> sample_counts_;
 

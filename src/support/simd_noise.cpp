@@ -1,6 +1,7 @@
 // Dispatch layer for the fast-noise kernels + the scalar tier (this TU
-// compiles simd_noise_kernels.inc with baseline flags; the AVX2/NEON tiers
-// recompile the same include in their own TUs — see CMakeLists.txt).
+// compiles simd_noise_kernels.inc with baseline flags; the NEON tier
+// recompiles the same include, the AVX2 and AVX-512 tiers compile the
+// width-generic simd_noise_x86.inc — see CMakeLists.txt).
 
 #include "support/simd_noise.h"
 
@@ -42,14 +43,20 @@ namespace dhtrng::support::simd {
   void xoshiro_soa_advance(std::uint64_t s[4][64], std::uint64_t* out);
 
 #if defined(__x86_64__) || defined(_M_X64)
-// Defined in simd_noise_avx2.cpp (compiled with -mavx2 -mfma); only ever
-// called after the runtime CPU check.
+// Defined in simd_noise_avx2.cpp (-mavx2 -mfma) and simd_noise_avx512.cpp
+// (-mavx512f -mavx512dq -mavx512vl -mfma), both from simd_noise_x86.inc;
+// only ever called after the runtime CPU check.
 namespace avx2_k {
 DHTRNG_KERNEL_DECLS
 }  // namespace avx2_k
+namespace avx512_k {
+DHTRNG_KERNEL_DECLS
+}  // namespace avx512_k
 // `return f(...)` is valid for void f, so one form covers every kernel.
 #define DHTRNG_DISPATCH(call)             \
   switch (active_tier()) {                \
+    case Tier::Avx512:                    \
+      return avx512_k::call;              \
     case Tier::Avx2:                      \
       return avx2_k::call;                \
     default:                              \
@@ -78,7 +85,14 @@ Tier hardware_tier() {
   return Tier::Neon;
 #elif defined(__x86_64__) || defined(_M_X64)
 #if defined(__GNUC__) || defined(__clang__)
+  // __builtin_cpu_supports also checks that the OS saves the vector state
+  // (XCR0), so a reported avx512f is usable.
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512vl")) {
+      return Tier::Avx512;
+    }
     return Tier::Avx2;
   }
 #endif
@@ -99,6 +113,8 @@ const char* tier_name(Tier t) {
   switch (t) {
     case Tier::Avx2:
       return "avx2";
+    case Tier::Avx512:
+      return "avx512";
     case Tier::Neon:
       return "neon";
     case Tier::Scalar:
@@ -118,8 +134,22 @@ Tier detected_tier() {
 
 Tier active_tier() { return active_tier_slot().load(std::memory_order_relaxed); }
 
+bool tier_supported(Tier t) {
+  const Tier hw = hardware_tier();
+  switch (t) {
+    case Tier::Scalar:
+      return true;
+    case Tier::Avx2:  // every AVX-512 host this tier accepts has AVX2+FMA
+      return hw == Tier::Avx2 || hw == Tier::Avx512;
+    case Tier::Avx512:
+    case Tier::Neon:
+      return hw == t;
+  }
+  return false;
+}
+
 Tier force_tier(Tier t) {
-  if (t != Tier::Scalar && t != hardware_tier()) t = Tier::Scalar;
+  if (!tier_supported(t)) t = Tier::Scalar;
   return active_tier_slot().exchange(t, std::memory_order_relaxed);
 }
 

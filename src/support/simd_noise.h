@@ -6,19 +6,27 @@
 // waveform digests and cannot be reordered.  The kernels here implement the
 // documented `fast-noise` relaxation: batched Box-Muller and polynomial
 // special functions over whole blocks, laid out so the compiler vectorizes
-// them (AVX2 on x86-64, NEON on aarch64, plain scalar elsewhere).
+// them (AVX-512 or AVX2 on x86-64, NEON on aarch64, plain scalar
+// elsewhere).
 //
-// Dispatch contract: every tier produces *bit-identical* doubles.  All
-// tiers compile the same kernel source (simd_noise_kernels.inc) with
-// contraction disabled and explicit std::fma, and IEEE-754 makes +, -, *,
-// /, sqrt and fma deterministic per lane — so vector width never changes a
-// result, only wall-clock.  tests/noise/test_simd_dispatch.cpp asserts
-// exact equality between the active tier and the forced-scalar path; the
-// documented compatibility bound for future platforms is <= 2 ulp.
+// Dispatch contract: every tier produces *bit-identical* doubles.  The
+// scalar and NEON tiers compile the shared scalar kernel source
+// (simd_noise_kernels.inc); the two x86 vector tiers compile one
+// width-generic intrinsic source (simd_noise_x86.inc) over a vector-traits
+// type — 4-wide ymm for AVX2, 8-wide zmm with __mmask8 masks for AVX-512.
+// Every TU builds with contraction disabled and explicit fma, and IEEE-754
+// makes +, -, *, /, sqrt and fma deterministic per lane; the only other
+// operations are exact (compare -> mask, select, mask -> bits, shuffles,
+// small-integer conversions) — so vector width never changes a result,
+// only wall-clock.  tests/noise/test_simd_dispatch.cpp asserts exact
+// equality for every tier pair the host supports; the documented
+// compatibility bound for future platforms is <= 2 ulp.
 //
-// Tier selection: the best tier the CPU supports, clamped to Scalar when
-// the environment variable DHTRNG_FORCE_SCALAR=1 is set (the CI parity
-// lane), or overridden programmatically with force_tier() (tests).
+// Tier selection: the best tier the CPU supports (x86-64: AVX-512 when
+// avx512f/dq/vl + fma are present, else AVX2 when avx2 + fma are, else
+// scalar; aarch64: NEON), clamped to Scalar when the environment variable
+// DHTRNG_FORCE_SCALAR=1 is set (the CI parity lane), or overridden
+// programmatically with force_tier() (tests, benches).
 #pragma once
 
 #include <cstddef>
@@ -30,7 +38,7 @@ class Xoshiro256;
 
 namespace dhtrng::support::simd {
 
-enum class Tier { Scalar, Avx2, Neon };
+enum class Tier { Scalar, Avx2, Neon, Avx512 };
 
 const char* tier_name(Tier t);
 
@@ -42,8 +50,14 @@ Tier detected_tier();
 /// force_tier() changed it).
 Tier active_tier();
 
-/// Test hook: force dispatch to `t` (clamped to what the CPU supports).
-/// Returns the previously active tier.
+/// Whether this CPU can run tier `t` (Scalar always; on an AVX-512 host
+/// both Avx2 and Avx512).  Independent of DHTRNG_FORCE_SCALAR.
+bool tier_supported(Tier t);
+
+/// Test/bench hook: dispatch to `t` if tier_supported(t), else to Scalar.
+/// Any supported tier can be forced, including one below the detected
+/// tier and one above a DHTRNG_FORCE_SCALAR clamp.  Returns the previously
+/// active tier.
 Tier force_tier(Tier t);
 
 /// Batched Box-Muller: consumes `n` raw 64-bit words and writes `n`

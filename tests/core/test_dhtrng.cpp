@@ -2,12 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "sim/simulator.h"
 #include "stats/correlation.h"
 
 namespace dhtrng::core {
 namespace {
+
+TEST(DhTrng, GateLevelReleasesConsumedSamples) {
+  // The gate-level backend reads its output flip-flop's recorded samples;
+  // consumed samples must be released, or every generated bit stays
+  // buffered for the generator's lifetime.  The stream itself is pinned by
+  // FastNoiseGolden.DhTrngGateLevelStreams.
+  DhTrng t{{.seed = 5,
+            .backend = Backend::GateLevel,
+            .noise_mode = noise::NoiseMode::Fast}};
+  std::size_t peak = 0;
+  for (int chunk = 0; chunk < 100; ++chunk) {
+    (void)t.generate(1000);
+    peak = std::max(peak, t.simulator()->buffered_samples());
+  }
+  EXPECT_LE(peak, 4u) << "buffered samples grow with the bits generated";
+}
 
 TEST(DhTrng, DefaultClockIsDeviceMax) {
   DhTrng a7{{.device = fpga::DeviceModel::artix7()}};

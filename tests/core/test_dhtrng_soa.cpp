@@ -4,9 +4,9 @@
 //  * Exact mode is bit-identical to DhTrngArray with 64 cores and the same
 //    master seed (lane l of every output word == the array's core l bit);
 //  * the fast engine is deterministic per seed and tier-independent (the
-//    scalar and AVX2/NEON step kernels compile the same operation sequence
-//    with -ffp-contract=off, so forcing the scalar tier must reproduce the
-//    native words exactly);
+//    scalar, AVX2, AVX-512 and NEON step kernels compile the same operation
+//    sequence with -ffp-contract=off, so every supported tier must
+//    reproduce the scalar tier's words exactly);
 //  * the TrngSource surface (next_bit / generate) serves the words in the
 //    documented lane-major round-robin order;
 //  * restart() re-arms the oscillator phases deterministically;
@@ -21,6 +21,7 @@
 #include "core/dhtrng_soa.h"
 #include "core/entropy_pool.h"
 #include "support/simd_noise.h"
+#include "support/simd_tiers.h"
 
 using dhtrng::core::DhTrng;
 using dhtrng::core::DhTrngArray;
@@ -73,18 +74,23 @@ TEST(DhTrngSoA, FastModeIsDeterministicPerSeed) {
 }
 
 TEST(DhTrngSoA, FastModeScalarTierMatchesNativeTier) {
-  std::vector<std::uint64_t> native(128), scalar(128);
-  {
-    DhTrngSoA soa(soa_config(123));
-    soa.generate_words(native.data(), native.size());
+  // Every tier the host supports (the step kernel and the noise kernels
+  // both dispatch on it) against the scalar tier, coupling on and off.
+  for (const bool coupling : {true, false}) {
+    const auto runs = dhtrng::testsupport::run_per_tier([&] {
+      DhTrngSoAConfig cfg = soa_config(123);
+      cfg.core.coupling = coupling;
+      DhTrngSoA soa(cfg);
+      std::vector<std::uint64_t> words(128);
+      soa.generate_words(words.data(), words.size());
+      return words;
+    });
+    for (const auto& [tier, words] : runs) {
+      EXPECT_EQ(words, runs.front().second)
+          << dhtrng::testsupport::tier_pair(tier, runs.front().first)
+          << ", coupling " << coupling;
+    }
   }
-  {
-    const simd::Tier prev = simd::force_tier(simd::Tier::Scalar);
-    DhTrngSoA soa(soa_config(123));
-    soa.generate_words(scalar.data(), scalar.size());
-    simd::force_tier(prev);
-  }
-  EXPECT_EQ(native, scalar);
 }
 
 TEST(DhTrngSoA, NextBitServesWordsLaneMajor) {

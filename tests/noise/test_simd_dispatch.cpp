@@ -1,16 +1,18 @@
 // CPU-dispatch parity for the SIMD noise kernels (support/simd_noise.h).
 //
 // The contract under test is the one docs/architecture.md documents: every
-// dispatch tier (scalar baseline, AVX2, NEON) produces bit-identical
-// doubles — the tiers are compiled from the same operation sequence with
-// -ffp-contract=off, so there is no "documented ulp bound" to allow; the
-// bound is zero.  The tests force the scalar tier via
-// support::simd::force_tier and compare against the hardware tier
-// elementwise with exact equality.  On a machine whose detected tier IS
-// scalar the comparisons degenerate to scalar-vs-scalar and still pass —
-// CI runs the suite once natively and once under DHTRNG_FORCE_SCALAR=1, so
-// both code paths stay covered.
+// dispatch tier (scalar baseline, AVX2, AVX-512, NEON) produces
+// bit-identical doubles — the tiers are compiled from the same operation
+// sequence with -ffp-contract=off, so there is no "documented ulp bound" to
+// allow; the bound is zero.  The parity tests run each kernel once per tier
+// the host supports (forced via support::simd::force_tier) and compare
+// every tier with the scalar tier elementwise with exact equality, which
+// covers every tier pair.  On a scalar-only machine the comparisons
+// degenerate to scalar-vs-scalar and still pass.  force_tier reaches any
+// supported tier even under DHTRNG_FORCE_SCALAR=1, so the CI forced-scalar
+// lane checks the same pairs with the scalar tier detected.
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
@@ -19,21 +21,28 @@
 
 #include "support/rng.h"
 #include "support/simd_noise.h"
+#include "support/simd_tiers.h"
 
 namespace simd = dhtrng::support::simd;
+using dhtrng::testsupport::run_per_tier;
+using dhtrng::testsupport::tier_pair;
+using dhtrng::testsupport::TierScope;
 
 namespace {
 
-/// RAII tier override: force a tier for one test, restore on exit so test
-/// order never leaks a scalar override into the rest of the suite.
-class TierScope {
- public:
-  explicit TierScope(simd::Tier t) : prev_(simd::force_tier(t)) {}
-  ~TierScope() { simd::force_tier(prev_); }
-
- private:
-  simd::Tier prev_;
-};
+/// Exact elementwise equality of every tier's output with the first
+/// (scalar) tier's.
+template <class Runs>
+void expect_tiers_match(const Runs& runs, const char* what) {
+  const auto& [ref_tier, ref] = runs.front();
+  for (const auto& [tier, out] : runs) {
+    ASSERT_EQ(out.size(), ref.size()) << what << ' ' << tier_pair(tier, ref_tier);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(out[i], ref[i])
+          << what << ' ' << i << ": " << tier_pair(tier, ref_tier);
+    }
+  }
+}
 
 std::vector<std::uint64_t> raw_block(std::size_t n, std::uint64_t seed) {
   dhtrng::support::Xoshiro256 rng(seed);
@@ -46,10 +55,14 @@ std::vector<std::uint64_t> raw_block(std::size_t n, std::uint64_t seed) {
 
 TEST(SimdDispatch, DetectedTierIsValidAndNamed) {
   const simd::Tier t = simd::detected_tier();
+  // Logged so a CI job's output shows which tier its ratio gates ran on.
+  std::printf("detected SIMD tier: %s\n", simd::tier_name(t));
   EXPECT_TRUE(t == simd::Tier::Scalar || t == simd::Tier::Avx2 ||
-              t == simd::Tier::Neon);
+              t == simd::Tier::Avx512 || t == simd::Tier::Neon);
+  EXPECT_TRUE(simd::tier_supported(t));
   EXPECT_STREQ(simd::tier_name(simd::Tier::Scalar), "scalar");
   EXPECT_STREQ(simd::tier_name(simd::Tier::Avx2), "avx2");
+  EXPECT_STREQ(simd::tier_name(simd::Tier::Avx512), "avx512");
   EXPECT_STREQ(simd::tier_name(simd::Tier::Neon), "neon");
   // The active tier starts at the detected tier (modulo an override by a
   // concurrently-registered test, which TierScope prevents).
@@ -72,6 +85,22 @@ TEST(SimdDispatch, ForceTierRestoresAndClampsToHardware) {
 #endif
   }
   EXPECT_EQ(simd::active_tier(), original);
+  // Every supported tier can be forced — including one below the detected
+  // tier (AVX2 on an AVX-512 host) — and only unsupported ones clamp.
+  for (simd::Tier t : {simd::Tier::Scalar, simd::Tier::Avx2,
+                       simd::Tier::Avx512, simd::Tier::Neon}) {
+    TierScope forced(t);
+    EXPECT_EQ(simd::active_tier(),
+              simd::tier_supported(t) ? t : simd::Tier::Scalar)
+        << simd::tier_name(t);
+  }
+  EXPECT_EQ(simd::active_tier(), original);
+#if defined(__x86_64__) || defined(_M_X64)
+  // An x86 AVX-512 tier implies the AVX2 tier on the same CPU.
+  if (simd::tier_supported(simd::Tier::Avx512)) {
+    EXPECT_TRUE(simd::tier_supported(simd::Tier::Avx2));
+  }
+#endif
 }
 
 TEST(SimdDispatch, ForceScalarEnvPinsDetection) {
@@ -87,15 +116,12 @@ TEST(SimdDispatch, ForceScalarEnvPinsDetection) {
 TEST(SimdDispatch, BoxmullerNativeMatchesScalarBitwise) {
   constexpr std::size_t kN = 4096;
   const auto raw = raw_block(kN, 0xb0b0);
-  std::vector<double> native(kN), scalar(kN);
-  simd::boxmuller_transform(raw.data(), native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    simd::boxmuller_transform(raw.data(), scalar.data(), kN);
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "draw " << i;
-  }
+  expect_tiers_match(run_per_tier([&] {
+                       std::vector<double> out(kN);
+                       simd::boxmuller_transform(raw.data(), out.data(), kN);
+                       return out;
+                     }),
+                     "draw");
 }
 
 TEST(SimdDispatch, BoxmullerMomentsAreStandardNormal) {
@@ -121,15 +147,16 @@ TEST(SimdDispatch, BoxmullerMomentsAreStandardNormal) {
 TEST(SimdDispatch, Sin2PiNativeMatchesScalarBitwiseAndIsAccurate) {
   constexpr std::size_t kN = 2048;
   dhtrng::support::Xoshiro256 rng(0x51);
-  std::vector<double> turns(kN), native(kN), scalar(kN);
+  std::vector<double> turns(kN);
   for (auto& t : turns) t = rng.uniform(0.0, 2.0);
-  simd::sin2pi_batch(turns.data(), native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    simd::sin2pi_batch(turns.data(), scalar.data(), kN);
-  }
+  const auto runs = run_per_tier([&] {
+    std::vector<double> out(kN);
+    simd::sin2pi_batch(turns.data(), out.data(), kN);
+    return out;
+  });
+  expect_tiers_match(runs, "turn index");
+  const std::vector<double>& native = runs.back().second;
   for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "turn " << turns[i];
     EXPECT_NEAR(native[i], std::sin(2.0 * M_PI * turns[i]), 1e-13);
   }
 }
@@ -137,15 +164,16 @@ TEST(SimdDispatch, Sin2PiNativeMatchesScalarBitwiseAndIsAccurate) {
 TEST(SimdDispatch, NormalCdfNativeMatchesScalarBitwiseAndIsAccurate) {
   constexpr std::size_t kN = 2048;
   dhtrng::support::Xoshiro256 rng(0xcdf);
-  std::vector<double> x(kN), native(kN), scalar(kN);
+  std::vector<double> x(kN);
   for (auto& v : x) v = rng.uniform(0.0, 6.0);
-  simd::normal_cdf_batch(x.data(), native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    simd::normal_cdf_batch(x.data(), scalar.data(), kN);
-  }
+  const auto runs = run_per_tier([&] {
+    std::vector<double> out(kN);
+    simd::normal_cdf_batch(x.data(), out.data(), kN);
+    return out;
+  });
+  expect_tiers_match(runs, "x index");
+  const std::vector<double>& native = runs.back().second;
   for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "x " << x[i];
     const double exact = 0.5 * std::erfc(-x[i] / std::sqrt(2.0));
     EXPECT_NEAR(native[i], exact, 1e-6);
   }
@@ -157,50 +185,49 @@ TEST(SimdDispatch, UniformLtMaskNativeMatchesScalar) {
   dhtrng::support::Xoshiro256 rng(0x18);
   for (int rep = 0; rep < 8; ++rep) {
     for (auto& v : p) v = rng.uniform();
-    const std::uint64_t native =
-        simd::uniform_lt_mask64(raw.data() + 64 * rep, p.data());
-    TierScope s(simd::Tier::Scalar);
-    const std::uint64_t scalar =
-        simd::uniform_lt_mask64(raw.data() + 64 * rep, p.data());
-    ASSERT_EQ(native, scalar);
+    expect_tiers_match(run_per_tier([&] {
+                         return std::vector<std::uint64_t>{
+                             simd::uniform_lt_mask64(raw.data() + 64 * rep,
+                                                     p.data())};
+                       }),
+                       "mask");
   }
 }
 
 TEST(SimdDispatch, XoshiroSoANativeMatchesScalar) {
   constexpr std::size_t kN = 64 * 32;
-  simd::XoshiroSoA a, b;
-  for (std::size_t l = 0; l < 64; ++l) {
-    a.seed_lane(l, 1000 + l);
-    b.seed_lane(l, 1000 + l);
-  }
-  std::vector<std::uint64_t> native(kN), scalar(kN);
-  a.fill(native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    b.fill(scalar.data(), kN);
-  }
-  EXPECT_EQ(native, scalar);
+  expect_tiers_match(run_per_tier([&] {
+                       simd::XoshiroSoA x;
+                       for (std::size_t l = 0; l < 64; ++l) {
+                         x.seed_lane(l, 1000 + l);
+                       }
+                       std::vector<std::uint64_t> out(kN);
+                       x.fill(out.data(), kN);
+                       return out;
+                     }),
+                     "word");
 }
 
 TEST(SimdDispatch, BoxmullerFillNativeMatchesScalarBitwise) {
   constexpr std::size_t kN = 4096;
   // Seed two identical xoshiro states the way Xoshiro256 does (SplitMix64
   // expansion), advance both through the fused fill on different tiers.
-  std::uint64_t sa[4], sb[4];
+  std::uint64_t seed_state[4];
   dhtrng::support::SplitMix64 seeder(0xf05ed);
-  for (int j = 0; j < 4; ++j) sa[j] = sb[j] = seeder.next();
-  std::vector<double> native(kN), scalar(kN);
-  simd::boxmuller_fill(sa, native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    simd::boxmuller_fill(sb, scalar.data(), kN);
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "draw " << i;
-  }
+  for (int j = 0; j < 4; ++j) seed_state[j] = seeder.next();
+  std::vector<std::vector<std::uint64_t>> states;
+  expect_tiers_match(run_per_tier([&] {
+                       std::uint64_t s[4];
+                       for (int j = 0; j < 4; ++j) s[j] = seed_state[j];
+                       std::vector<double> out(kN);
+                       simd::boxmuller_fill(s, out.data(), kN);
+                       states.push_back({s[0], s[1], s[2], s[3]});
+                       return out;
+                     }),
+                     "draw");
   // The fill advances the state identically too — a caller interleaving
   // fused fills with raw draws stays on one stream across tiers.
-  for (int j = 0; j < 4; ++j) ASSERT_EQ(sa[j], sb[j]) << "state word " << j;
+  for (const auto& st : states) ASSERT_EQ(st, states.front());
 }
 
 TEST(SimdDispatch, BoxmullerFillIsChunkInvariant) {
@@ -253,28 +280,23 @@ TEST(SimdDispatch, XoshiroSoAGaussianFillNativeMatchesScalar) {
   // advances plus a partial 7th, so the deterministic-discard tail path
   // is exercised, not just the aligned path.
   constexpr std::size_t kN = 832;
-  simd::XoshiroSoA a, b;
-  for (std::size_t l = 0; l < 64; ++l) {
-    a.seed_lane(l, 42 + l);
-    b.seed_lane(l, 42 + l);
-  }
-  std::vector<double> native(kN), scalar(kN);
-  a.gaussian_fill(native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    b.gaussian_fill(scalar.data(), kN);
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "draw " << i;
-  }
-  // Subsequent raw fills must stay in lockstep (same words discarded).
-  std::vector<std::uint64_t> ra(64), rb(64);
-  a.fill(ra.data(), 64);
-  {
-    TierScope s(simd::Tier::Scalar);
-    b.fill(rb.data(), 64);
-  }
-  EXPECT_EQ(ra, rb);
+  std::vector<std::vector<std::uint64_t>> next_words;
+  expect_tiers_match(run_per_tier([&] {
+                       simd::XoshiroSoA x;
+                       for (std::size_t l = 0; l < 64; ++l) {
+                         x.seed_lane(l, 42 + l);
+                       }
+                       std::vector<double> out(kN);
+                       x.gaussian_fill(out.data(), kN);
+                       // Subsequent raw fills must stay in lockstep (same
+                       // words discarded).
+                       std::vector<std::uint64_t> raw(64);
+                       x.fill(raw.data(), 64);
+                       next_words.push_back(raw);
+                       return out;
+                     }),
+                     "draw");
+  for (const auto& w : next_words) EXPECT_EQ(w, next_words.front());
 }
 
 TEST(SimdDispatch, UniformLtMaskHiLoNativeMatchesScalarAndSemantics) {
@@ -284,13 +306,14 @@ TEST(SimdDispatch, UniformLtMaskHiLoNativeMatchesScalarAndSemantics) {
   for (int rep = 0; rep < 8; ++rep) {
     for (auto& v : p) v = rng.uniform();
     const std::uint64_t* w = raw.data() + 64 * rep;
-    const std::uint64_t hi_native = simd::uniform_lt_mask64_hi(w, p.data());
-    const std::uint64_t lo_native = simd::uniform_lt_mask64_lo(w, p.data());
-    {
-      TierScope s(simd::Tier::Scalar);
-      ASSERT_EQ(hi_native, simd::uniform_lt_mask64_hi(w, p.data()));
-      ASSERT_EQ(lo_native, simd::uniform_lt_mask64_lo(w, p.data()));
-    }
+    const auto runs = run_per_tier([&] {
+      return std::vector<std::uint64_t>{
+          simd::uniform_lt_mask64_hi(w, p.data()),
+          simd::uniform_lt_mask64_lo(w, p.data())};
+    });
+    expect_tiers_match(runs, "hi/lo mask");
+    const std::uint64_t hi_native = runs.back().second[0];
+    const std::uint64_t lo_native = runs.back().second[1];
     // Reference semantics: 32-bit halves scaled by 2^-32, strict less-than.
     for (int l = 0; l < 64; ++l) {
       const double hi_u = static_cast<double>(w[l] >> 32) * 0x1p-32;
@@ -312,7 +335,6 @@ TEST(SimdDispatch, TrimmedBatchesNativeMatchScalarBitwise) {
     logs[i] = rng.uniform(1e-10, 1.0);
     exps[i] = rng.uniform(-40.0, 0.0);
   }
-  std::vector<double> native(kN), scalar(kN);
   const struct {
     const char* name;
     void (*fn)(const double*, double*, std::size_t);
@@ -326,14 +348,12 @@ TEST(SimdDispatch, TrimmedBatchesNativeMatchScalarBitwise) {
       {"fast_exp_trimmed", simd::fast_exp_batch_trimmed, &exps},
   };
   for (const auto& c : cases) {
-    c.fn(c.in->data(), native.data(), kN);
-    {
-      TierScope s(simd::Tier::Scalar);
-      c.fn(c.in->data(), scalar.data(), kN);
-    }
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(native[i], scalar[i]) << c.name << " element " << i;
-    }
+    expect_tiers_match(run_per_tier([&] {
+                         std::vector<double> out(kN);
+                         c.fn(c.in->data(), out.data(), kN);
+                         return out;
+                       }),
+                       c.name);
   }
 }
 
@@ -348,15 +368,19 @@ TEST(SimdDispatch, GatedTrimmedCdfParityAndSemantics) {
     xs[i] = rng.uniform() < 0.2 ? rng.uniform(0.0, kCut)
                                 : rng.uniform(kCut, 40.0);
   }
-  std::vector<double> native(kN), scalar(kN), ungated(kN);
-  simd::normal_cdf_batch_trimmed_gated(xs.data(), native.data(), kN, kCut);
+  std::vector<double> ungated(kN);
   {
     TierScope s(simd::Tier::Scalar);
-    simd::normal_cdf_batch_trimmed_gated(xs.data(), scalar.data(), kN, kCut);
     simd::normal_cdf_batch_trimmed(xs.data(), ungated.data(), kN);
   }
+  const auto runs = run_per_tier([&] {
+    std::vector<double> out(kN);
+    simd::normal_cdf_batch_trimmed_gated(xs.data(), out.data(), kN, kCut);
+    return out;
+  });
+  expect_tiers_match(runs, "element");
+  const std::vector<double>& native = runs.back().second;
   for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "tier mismatch at element " << i;
     // Per-4-group semantics: 1.0 iff the whole group is at/past the
     // cutoff; otherwise (and for tail lanes) exactly the ungated batch.
     const std::size_t g = i - i % 4;
@@ -368,14 +392,92 @@ TEST(SimdDispatch, GatedTrimmedCdfParityAndSemantics) {
 
 TEST(SimdDispatch, GaussianFillFastNativeMatchesScalar) {
   constexpr std::size_t kN = 1000;  // odd-ish size exercises the tail
-  dhtrng::support::Xoshiro256 a(0xfa57), b(0xfa57);
-  std::vector<double> native(kN), scalar(kN);
-  a.gaussian_fill_fast(native.data(), kN);
-  {
-    TierScope s(simd::Tier::Scalar);
-    b.gaussian_fill_fast(scalar.data(), kN);
+  expect_tiers_match(run_per_tier([&] {
+                       dhtrng::support::Xoshiro256 rng(0xfa57);
+                       std::vector<double> out(kN);
+                       rng.gaussian_fill_fast(out.data(), kN);
+                       return out;
+                     }),
+                     "draw");
+}
+
+TEST(SimdDispatch, RaggedSizesMatchAcrossTiers) {
+  // Every kernel at every size from 0 to 40 (even sizes for the Box-Muller
+  // kernels): the vector tiers pad their tails differently (4- vs 8-wide),
+  // so the tails are where a width-dependent result would show.
+  const auto raw = raw_block(64, 0x7a11);
+  dhtrng::support::Xoshiro256 rng(0x7a12);
+  std::vector<double> turns(40), xs(40), logs(40), exps(40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    turns[i] = rng.uniform(0.0, 2.0);
+    // Far groups, near groups and mixed groups for the gated CDF.
+    xs[i] = (i / 4) % 3 == 0 ? rng.uniform(4.0, 30.0) : rng.uniform(-4.0, 8.0);
+    logs[i] = rng.uniform(1e-10, 1.0);
+    exps[i] = rng.uniform(-40.0, 0.0);
   }
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(native[i], scalar[i]) << "draw " << i;
+  using Batch = void (*)(const double*, double*, std::size_t);
+  const struct {
+    const char* name;
+    Batch fn;
+    const std::vector<double>* in;
+  } batches[] = {
+      {"sin2pi", simd::sin2pi_batch, &turns},
+      {"sin2pi_trimmed", simd::sin2pi_batch_trimmed, &turns},
+      {"normal_cdf", simd::normal_cdf_batch, &xs},
+      {"normal_cdf_trimmed", simd::normal_cdf_batch_trimmed, &xs},
+      {"fast_log", simd::fast_log_batch, &logs},
+      {"fast_log_trimmed", simd::fast_log_batch_trimmed, &logs},
+      {"fast_exp", simd::fast_exp_batch, &exps},
+      {"fast_exp_trimmed", simd::fast_exp_batch_trimmed, &exps},
+  };
+  for (std::size_t n = 0; n <= 40; ++n) {
+    SCOPED_TRACE(testing::Message() << "n = " << n);
+    for (const auto& b : batches) {
+      expect_tiers_match(run_per_tier([&] {
+                           std::vector<double> out(n);
+                           b.fn(b.in->data(), out.data(), n);
+                           return out;
+                         }),
+                         b.name);
+    }
+    expect_tiers_match(run_per_tier([&] {
+                         std::vector<double> out(n);
+                         simd::normal_cdf_batch_trimmed_gated(
+                             xs.data(), out.data(), n, 4.0);
+                         return out;
+                       }),
+                       "gated cdf");
+    if (n % 2 != 0) continue;
+    expect_tiers_match(run_per_tier([&] {
+                         std::vector<double> out(n);
+                         simd::boxmuller_transform(raw.data(), out.data(), n);
+                         return out;
+                       }),
+                       "boxmuller_transform");
+    expect_tiers_match(run_per_tier([&] {
+                         std::uint64_t s[4] = {raw[0], raw[1], raw[2], raw[3]};
+                         std::vector<double> out(n);
+                         simd::boxmuller_fill(s, out.data(), n);
+                         for (std::uint64_t w : s) {  // exact as doubles
+                           out.push_back(static_cast<double>(w >> 32));
+                           out.push_back(static_cast<double>(w & 0xffffffffu));
+                         }
+                         return out;
+                       }),
+                       "boxmuller_fill (+ state)");
+  }
+  // SoA fills of every even size up to two advances: partial-advance tails.
+  for (std::size_t n = 0; n <= 256; n += 2) {
+    SCOPED_TRACE(testing::Message() << "n = " << n);
+    expect_tiers_match(run_per_tier([&] {
+                         simd::XoshiroSoA x;
+                         for (std::size_t l = 0; l < 64; ++l) {
+                           x.seed_lane(l, 7 * l + 1);
+                         }
+                         std::vector<double> out(n);
+                         x.gaussian_fill(out.data(), n);
+                         return out;
+                       }),
+                       "soa gaussian_fill");
   }
 }
