@@ -7,12 +7,9 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/baselines/coso_trng.h"
-#include "core/baselines/latch_trng.h"
-#include "core/baselines/msf_ro_trng.h"
-#include "core/baselines/tero_trng.h"
 #include "core/baselines/xor_ro_trng.h"
 #include "core/dhtrng.h"
+#include "core/sources.h"
 #include "stats/attack.h"
 
 int main(int argc, char** argv) {
@@ -27,30 +24,21 @@ int main(int argc, char** argv) {
 
   std::vector<std::pair<std::string, std::unique_ptr<core::TrngSource>>>
       targets;
-  targets.emplace_back("DH-TRNG", std::make_unique<core::DhTrng>(
-                                      core::DhTrngConfig{.seed = 1}));
+  targets.emplace_back("DH-TRNG", core::make_source("dhtrng", {.seed = 1}));
   targets.emplace_back(
       "DH-TRNG low-noise",
       std::make_unique<core::DhTrng>(core::DhTrngConfig{
           .seed = 2, .noise_scale = 0.05}));
-  targets.emplace_back("XOR-RO 9x12",
-                       std::make_unique<core::XorRoTrng>(core::XorRoConfig{
-                           .seed = 3, .stages = 9, .rings = 12}));
+  targets.emplace_back("XOR-RO 9x12", core::make_source("xor_ro", {.seed = 3}));
   targets.emplace_back("XOR-RO 9x2 (thin)",
                        std::make_unique<core::XorRoTrng>(core::XorRoConfig{
                            .seed = 4, .stages = 9, .rings = 2}));
   targets.emplace_back("MSFRO (single ring)",
-                       std::make_unique<core::MsfRoTrng>(
-                           core::MsfRoConfig{.seed = 5}));
+                       core::make_source("msf_ro", {.seed = 5}));
   targets.emplace_back("Multiphase (DAC'23)",
-                       std::make_unique<core::CosoTrng>(
-                           core::CosoConfig{.seed = 6}));
-  targets.emplace_back("Latched-RO",
-                       std::make_unique<core::LatchTrng>(
-                           core::LatchTrngConfig{.seed = 7}));
-  targets.emplace_back("TERO (FPL'20)",
-                       std::make_unique<core::TeroTrng>(
-                           core::TeroConfig{.seed = 8}));
+                       core::make_source("coso", {.seed = 6}));
+  targets.emplace_back("Latched-RO", core::make_source("latch", {.seed = 7}));
+  targets.emplace_back("TERO (FPL'20)", core::make_source("tero", {.seed = 8}));
 
   std::printf("%-22s %12s %9s %s\n", "target", "accuracy", "z-score",
               "verdict");

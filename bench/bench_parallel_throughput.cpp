@@ -15,6 +15,7 @@
 #include "bench_util.h"
 #include "core/dhtrng_array.h"
 #include "core/entropy_pool.h"
+#include "core/sources.h"
 #include "support/thread_pool.h"
 
 namespace {
@@ -72,9 +73,9 @@ int main(int argc, char** argv) {
   std::printf("%-18s %10s %10s\n", "producers", "time [s]", "Mbit/s");
   for (std::size_t producers : {std::size_t{1}, std::size_t{2},
                                 std::size_t{4}}) {
-    auto pool = core::EntropyPool::of_dhtrng(
+    core::EntropyPool pool(
         {.producers = producers, .buffer_bytes = 1u << 15, .block_bits = 4096},
-        {.seed = 7});
+        core::source_factory("dhtrng"));
     (void)pool.get_bytes(1024);  // warm-up: producers running, buffer primed
     t0 = std::chrono::steady_clock::now();
     (void)pool.get_bytes(pool_bytes);

@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
       request_bytes, workers);
 
   service::EntropyServerConfig cfg;
-  cfg.worker_threads = workers;
+  cfg.shards = workers;
   cfg.pool.producers = 4;
   cfg.pool.buffer_bytes = 1 << 20;
   cfg.pool.block_bits = 1 << 15;

@@ -7,18 +7,14 @@
 // numbers published in the paper's Table 6 for designs we did not
 // re-implement.  The quantity under test is the *ordering* and the ~2.6x
 // FoM lead of DH-TRNG over the best prior art (DAC'23).
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/baselines/coso_trng.h"
-#include "core/baselines/latch_trng.h"
-#include "core/baselines/tero_trng.h"
-#include "core/dhtrng.h"
-#include "core/zoo/zoo.h"
+#include "core/sources.h"
 #include "fpga/power.h"
-#include "fpga/slice_packer.h"
 
 namespace {
 
@@ -33,12 +29,19 @@ struct Row {
   }
 };
 
-Row measure(dhtrng::core::TrngSource& trng, const std::string& name,
-            const dhtrng::fpga::DeviceModel& device, std::size_t slices) {
-  const auto rc = trng.resources();
-  const auto power = dhtrng::fpga::estimate_power(device, trng.activity());
+/// Registry source `arch` at its default design point on `device`.
+/// `slices` = 0 takes the source's own slice packing; the baselines have
+/// none and carry their published slice counts.
+Row measure(const std::string& arch, std::uint64_t seed,
+            const std::string& name, const dhtrng::fpga::DeviceModel& device,
+            std::size_t slices = 0) {
+  const auto trng =
+      dhtrng::core::make_source(arch, {.device = device, .seed = seed});
+  const auto rc = trng->resources();
+  const auto power = dhtrng::fpga::estimate_power(device, trng->activity());
+  if (slices == 0) slices = trng->slice_report().slice_count();
   return {name,      "model", rc.luts,        rc.dffs, slices,
-          trng.throughput_mbps(), power.total_w()};
+          trng->throughput_mbps(), power.total_w()};
 }
 
 }  // namespace
@@ -62,17 +65,10 @@ int main(int argc, char** argv) {
   rows.push_back({"TC'23 [17]", "cited", 152, 16, 40, 1.25, 0.023});
 
   // Modelled rows: behavioural re-implementations + our power model.
+  rows.push_back(measure("tero", 4, "FPL'20 [12] (model)", a7, 10));
+  rows.push_back(measure("latch", 1, "TCASII'21 [13]", a7, 1));
   {
-    core::TeroTrng tero({.device = a7, .seed = 4});
-    rows.push_back(measure(tero, "FPL'20 [12] (model)", a7, 10));
-  }
-  {
-    core::LatchTrng latch({.device = a7, .seed = 1});
-    rows.push_back(measure(latch, "TCASII'21 [13]", a7, 1));
-  }
-  {
-    core::CosoTrng coso({.device = a7, .seed = 2});
-    Row r = measure(coso, "DAC'23 [3]", a7, 13);
+    Row r = measure("coso", 2, "DAC'23 [3]", a7, 13);
     rows.push_back(r);
     // Same design with its *published* power (0.049 W), the value the
     // paper's FoM 432.97 is computed from.
@@ -86,32 +82,16 @@ int main(int argc, char** argv) {
   // Marked "zoo" so they are excluded from the Figure 1(b) prior-art
   // comparison — they are our exploratory models, not published rows
   // (see `trng_tool compare` for the full cross-architecture report).
-  {
-    core::NeoTrng neo({.device = a7, .seed = 5});
-    Row r = measure(neo, "neoTRNG (model)", a7,
-                    neo.slice_report().slice_count());
+  const auto zoo_row = [&](const char* arch, std::uint64_t seed,
+                           const char* design) {
+    Row r = measure(arch, seed, design, a7);
     r.kind = "zoo";
-    rows.push_back(r);
-  }
-  {
-    core::KleinTrng klein({.device = a7, .seed = 6});
-    Row r = measure(klein, "Klein-RO (model)", a7,
-                    klein.slice_report().slice_count());
-    r.kind = "zoo";
-    rows.push_back(r);
-  }
-  {
-    core::HbnTrng hbn({.device = a7, .seed = 7});
-    Row r = measure(hbn, "HBN (model)", a7,
-                    hbn.slice_report().slice_count());
-    r.kind = "zoo";
-    rows.push_back(r);
-  }
-  {
-    core::DhTrng dh({.device = a7, .seed = 3});
-    const std::size_t slices = dh.slice_report().slice_count();
-    rows.push_back(measure(dh, "This work (DH-TRNG)", a7, slices));
-  }
+    return r;
+  };
+  rows.push_back(zoo_row("neo", 5, "neoTRNG (model)"));
+  rows.push_back(zoo_row("klein", 6, "Klein-RO (model)"));
+  rows.push_back(zoo_row("hbn", 7, "HBN (model)"));
+  rows.push_back(measure("dhtrng", 3, "This work (DH-TRNG)", a7));
 
   std::printf("%-20s %-6s %5s %5s %7s %12s %8s %12s\n", "design", "kind",
               "LUTs", "DFFs", "slices", "thput(Mbps)", "power(W)",

@@ -4,18 +4,14 @@
 //
 //   $ ./entropy_analysis [nbits]
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <vector>
 
-#include "core/baselines/coso_trng.h"
-#include "core/baselines/latch_trng.h"
-#include "core/baselines/msf_ro_trng.h"
-#include "core/baselines/tero_trng.h"
-#include "core/baselines/xor_ro_trng.h"
-#include "core/dhtrng.h"
 #include "core/hybrid_array.h"
+#include "core/sources.h"
 #include "stats/correlation.h"
 #include "stats/sp800_90b.h"
 
@@ -25,20 +21,13 @@ int main(int argc, char** argv) {
       argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 300000;
 
   std::vector<std::unique_ptr<core::TrngSource>> sources;
-  sources.push_back(std::make_unique<core::DhTrng>(
-      core::DhTrngConfig{.device = fpga::DeviceModel::artix7(), .seed = 1}));
+  sources.push_back(core::make_source("dhtrng", {.seed = 1}));
   sources.push_back(std::make_unique<core::HybridArrayTrng>(
       core::HybridArrayConfig{.seed = 2, .units = 12}));
-  sources.push_back(std::make_unique<core::XorRoTrng>(
-      core::XorRoConfig{.seed = 3, .stages = 9, .rings = 12}));
-  sources.push_back(
-      std::make_unique<core::MsfRoTrng>(core::MsfRoConfig{.seed = 4}));
-  sources.push_back(
-      std::make_unique<core::CosoTrng>(core::CosoConfig{.seed = 5}));
-  sources.push_back(
-      std::make_unique<core::LatchTrng>(core::LatchTrngConfig{.seed = 6}));
-  sources.push_back(
-      std::make_unique<core::TeroTrng>(core::TeroConfig{.seed = 7}));
+  std::uint64_t seed = 3;
+  for (const char* name : {"xor_ro", "msf_ro", "coso", "latch", "tero"}) {
+    sources.push_back(core::make_source(name, {.seed = seed++}));
+  }
 
   std::printf("analyzing %zu bits from each generator\n\n", nbits);
   std::printf("%-24s %8s %8s %8s %8s %9s %9s\n", "generator", "h-mcv",

@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "core/entropy_pool.h"
+#include "core/sources.h"
 #include "stats/ais31.h"
 
 namespace {
@@ -41,9 +42,9 @@ void print_hex(const char* label, const support::BitStream& bits) {
 int main(int argc, char** argv) {
   const int keys = argc > 1 ? std::atoi(argv[1]) : 4;
 
-  auto pool = core::EntropyPool::of_dhtrng(
+  core::EntropyPool pool(
       {.producers = 2, .buffer_bytes = 8192, .block_bits = 4096},
-      {.device = fpga::DeviceModel::artix7(), .seed = 0xC0FFEE});
+      core::source_factory("dhtrng", {.device = fpga::DeviceModel::artix7()}));
 
   // Startup test: discard and verify the first block (AIS-31 requires the
   // startup sequence to be tested and thrown away).

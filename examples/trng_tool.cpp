@@ -1,7 +1,8 @@
 // Command-line TRNG utility — generate random data and/or evaluate it.
 //
 //   trng_tool generate [--device=artix7|virtex6] [--bits=N] [--seed=S]
-//                      [--backend=fast|gate|soa|neo|klein|hbn]
+//                      [--backend=fast|gate|soa|neo|klein|hbn|xor_ro|
+//                                 msf_ro|coso|latch|tero]
 //                      [--format=hex|bin|bits]
 //                      [--post=none|vn|peres|xor4|sha256]
 //                      [--noise-mode=fast|exact]
@@ -9,7 +10,7 @@
 //                      [--noise-mode=...]
 //   trng_tool report   [--device=...] [--bits=N] [--seed=S] [--noise-mode=...]
 //   trng_tool compare  [--seed=S] [--bits=N] [--device=artix7|virtex6]
-//                      [--archs=dhtrng,neo,klein,hbn]
+//                      [--archs=dhtrng,neo,klein,hbn]  (slice-modeled only)
 //   trng_tool serve    [--port=P] [--unix=PATH] [--producers=N]
 //                      [--workers=N] [--seed=S] [--device=] [--backend=]
 //                      [--rate-mbps=R] [--max-request=N] [--noise-mode=...]
@@ -20,6 +21,12 @@
 //                      [--format=hex|bin] [--noise-mode=...]
 //   trng_tool stats    [--host=H] [--port=P] [--unix=PATH]
 //   trng_tool cert     [--host=H] [--port=P] [--unix=PATH]
+//
+// `--backend` names the generator: `fast`/`gate` are the DH-TRNG's
+// behavioral and event-simulated backends, every other value a name in the
+// source registry (core/sources.h) — the bitsliced `soa` bulk engine, the
+// zoo architectures and the Table 6 baselines.  `--device` and `--format`
+// take only the listed values; a bad flag value exits with status 2.
 //
 // `--noise-mode` selects the noise fidelity uniformly across the
 // generator-side commands: `exact` (default; golden-digest-pinned streams)
@@ -48,11 +55,9 @@
 #include <string>
 #include <thread>
 
-#include "core/dhtrng.h"
-#include "core/dhtrng_soa.h"
 #include "core/postprocess.h"
+#include "core/sources.h"
 #include "core/zoo/compare.h"
-#include "core/zoo/zoo.h"
 #include "service/client.h"
 #include "service/entropy_server.h"
 #include "stats/correlation.h"
@@ -75,74 +80,72 @@ std::string flag(int argc, char** argv, const char* name,
 }
 
 /// Validated --noise-mode parse; `fallback` is the command's default
-/// ("exact" everywhere except the soa backend's bulk engine).  Exits the
-/// usual flag-error way (return via throw) on anything else.
+/// ("exact" everywhere except the soa backend's bulk engine).
 noise::NoiseMode parse_noise_mode(int argc, char** argv,
                                   const std::string& fallback) {
   const std::string mode = flag(argc, argv, "noise-mode", fallback);
   if (mode == "fast") return noise::NoiseMode::Fast;
   if (mode == "exact") return noise::NoiseMode::Exact;
-  throw std::runtime_error("unknown --noise-mode=" + mode +
-                           " (expected fast|exact)");
+  throw std::invalid_argument("unknown --noise-mode=" + mode +
+                              " (expected fast|exact)");
 }
 
-/// The complete --backend vocabulary, for error messages: the DH-TRNG
-/// backends plus every registered zoo architecture.
-std::string valid_backends() {
-  std::string names = "fast|gate|soa";
-  for (const std::string& name : core::zoo_source_names()) {
-    names += "|" + name;
+fpga::DeviceModel parse_device(const std::string& name) {
+  if (name == "artix7") return fpga::DeviceModel::artix7();
+  if (name == "virtex6") return fpga::DeviceModel::virtex6();
+  throw std::invalid_argument("unknown --device=" + name +
+                              " (expected artix7|virtex6)");
+}
+
+/// --format, one of the '|'-separated `valid` names.
+std::string parse_format(int argc, char** argv, const std::string& valid) {
+  const std::string format = flag(argc, argv, "format", "hex");
+  if (("|" + valid + "|").find("|" + format + "|") == std::string::npos) {
+    throw std::invalid_argument("unknown --format=" + format + " (expected " +
+                                valid + ")");
   }
-  return names;
+  return format;
 }
 
-[[noreturn]] void reject_backend(const std::string& backend) {
-  throw std::runtime_error("unknown --backend=" + backend + " (expected " +
-                           valid_backends() + ")");
-}
+/// The registry entry and options --backend/--device/--seed/--noise-mode
+/// select (see the header comment).
+struct Generator {
+  std::string name;
+  core::SourceOptions options;
+};
 
-core::DhTrngConfig make_core_config(int argc, char** argv) {
-  core::DhTrngConfig cfg;
-  if (flag(argc, argv, "device", "artix7") == "virtex6") {
-    cfg.device = fpga::DeviceModel::virtex6();
+Generator parse_generator(int argc, char** argv) {
+  Generator g{flag(argc, argv, "backend", "fast"), {}};
+  if (g.name == "fast" || g.name == "gate") {
+    if (g.name == "gate") g.options.backend = core::Backend::GateLevel;
+    g.name = "dhtrng";
   }
-  cfg.seed = std::stoull(flag(argc, argv, "seed", "1"));
-  if (flag(argc, argv, "backend", "fast") == "gate") {
-    cfg.backend = core::Backend::GateLevel;
-  }
-  cfg.noise_mode = parse_noise_mode(argc, argv, "exact");
-  return cfg;
+  g.options.device = parse_device(flag(argc, argv, "device", "artix7"));
+  g.options.seed = std::stoull(flag(argc, argv, "seed", "1"));
+  g.options.noise_mode =
+      parse_noise_mode(argc, argv, g.name == "soa" ? "fast" : "exact");
+  return g;
 }
 
-// --backend selects the generator: `fast`/`gate` are the DH-TRNG's
-// behavioral and event-simulated backends, `soa` the bitsliced
-// 64-instance bulk backend (core::DhTrngSoA — ~an order of magnitude more
-// bits per second, statistically equivalent but not bit-identical to a
-// single DhTrng instance), and `neo`/`klein`/`hbn` the zoo architectures
-// (core/zoo/zoo.h, behavioral models).  Anything else is rejected with
-// the full vocabulary — no silent fallback to the default.
 std::unique_ptr<core::TrngSource> make_trng(int argc, char** argv) {
-  const std::string backend = flag(argc, argv, "backend", "fast");
-  if (backend == "soa") {
-    core::DhTrngSoAConfig cfg;
-    cfg.core = make_core_config(argc, argv);
-    cfg.noise_mode = parse_noise_mode(argc, argv, "fast");
-    return std::make_unique<core::DhTrngSoA>(cfg);
+  const Generator g = parse_generator(argc, argv);
+  return core::make_source(g.name, g.options);
+}
+
+void write_bytes(const std::vector<std::uint8_t>& bytes, bool binary) {
+  if (binary) {
+    std::fwrite(bytes.data(), 1, bytes.size(), stdout);
+    return;
   }
-  if (backend == "fast" || backend == "gate") {
-    return std::make_unique<core::DhTrng>(make_core_config(argc, argv));
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::printf("%02x", bytes[i]);
+    if (i % 32 == 31) std::fputc('\n', stdout);
   }
-  core::ZooOptions opt;
-  if (flag(argc, argv, "device", "artix7") == "virtex6") {
-    opt.device = fpga::DeviceModel::virtex6();
-  }
-  opt.seed = std::stoull(flag(argc, argv, "seed", "1"));
-  opt.noise_mode = parse_noise_mode(argc, argv, "exact");
-  if (auto src = core::make_zoo_source(backend, opt)) return src;
-  reject_backend(backend);
+  if (bytes.size() % 32 != 0) std::fputc('\n', stdout);
 }
 
 int cmd_generate(int argc, char** argv) {
+  const std::string format = parse_format(argc, argv, "hex|bin|bits");
   auto trng = make_trng(argc, argv);
   const auto nbits = std::stoull(flag(argc, argv, "bits", "8192"));
   auto bits = trng->generate(nbits);
@@ -161,7 +164,6 @@ int cmd_generate(int argc, char** argv) {
     return 2;
   }
 
-  const std::string format = flag(argc, argv, "format", "hex");
   if (format == "bits") {
     std::fputs(bits.to_string().c_str(), stdout);
     std::fputc('\n', stdout);
@@ -228,7 +230,7 @@ int cmd_serve(int argc, char** argv) {
       std::stoul(flag(argc, argv, "port", "7230")));
   cfg.unix_path = flag(argc, argv, "unix", "");
   cfg.pool.producers = std::stoull(flag(argc, argv, "producers", "4"));
-  cfg.worker_threads = std::stoull(flag(argc, argv, "workers", "4"));
+  cfg.shards = std::stoull(flag(argc, argv, "workers", "4"));
   cfg.pool.seed = std::stoull(flag(argc, argv, "seed", "1"));
   cfg.max_request_bytes =
       std::stoull(flag(argc, argv, "max-request", "1048576"));
@@ -236,48 +238,14 @@ int cmd_serve(int argc, char** argv) {
   cfg.global_rate_bytes_per_s =
       static_cast<std::uint64_t>(rate_mbps * 1e6 / 8.0);
 
-  const std::string backend = flag(argc, argv, "backend", "fast");
-  core::DhTrngConfig core_cfg;
-  if (flag(argc, argv, "device", "artix7") == "virtex6") {
-    core_cfg.device = fpga::DeviceModel::virtex6();
-  }
-  if (backend == "gate") core_cfg.backend = core::Backend::GateLevel;
-  core_cfg.noise_mode = parse_noise_mode(argc, argv, "exact");
+  const Generator g = parse_generator(argc, argv);
+  cfg.noise_mode_label =
+      g.options.noise_mode == noise::NoiseMode::Fast ? "fast" : "exact";
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-  std::unique_ptr<service::EntropyServer> server;
-  if (backend == "fast" || backend == "gate") {
-    server = service::EntropyServer::of_dhtrng(cfg, core_cfg);
-  } else if (backend == "soa") {
-    // A bitsliced 64-lane bulk generator per producer.
-    core::DhTrngSoAConfig soa_cfg;
-    soa_cfg.core = core_cfg;
-    soa_cfg.noise_mode = parse_noise_mode(argc, argv, "fast");
-    cfg.noise_mode_label =
-        soa_cfg.noise_mode == noise::NoiseMode::Fast ? "fast" : "exact";
-    server = std::make_unique<service::EntropyServer>(
-        cfg, [soa_cfg](std::size_t, std::uint64_t seed) {
-          core::DhTrngSoAConfig producer = soa_cfg;
-          producer.core.seed = seed;
-          return std::make_unique<core::DhTrngSoA>(producer);
-        });
-  } else {
-    // Zoo architectures: the pool's producers are zoo sources.
-    core::ZooOptions opt;
-    opt.device = core_cfg.device;
-    opt.noise_mode = core_cfg.noise_mode;
-    opt.seed = cfg.pool.seed;
-    if (!core::make_zoo_source(backend, opt)) reject_backend(backend);
-    cfg.noise_mode_label =
-        opt.noise_mode == noise::NoiseMode::Fast ? "fast" : "exact";
-    server = std::make_unique<service::EntropyServer>(
-        cfg, [backend, opt](std::size_t, std::uint64_t seed) {
-          core::ZooOptions producer = opt;
-          producer.seed = seed;
-          return core::make_zoo_source(backend, producer);
-        });
-  }
+  auto server = std::make_unique<service::EntropyServer>(
+      cfg, core::source_factory(g.name, g.options));
   std::printf("entropy service listening on 127.0.0.1:%u%s%s\n",
               server->tcp_port(),
               cfg.unix_path.empty() ? "" : " and ",
@@ -304,6 +272,7 @@ service::EntropyClient connect_client(int argc, char** argv) {
 }
 
 int cmd_fetch(int argc, char** argv) {
+  const bool binary = parse_format(argc, argv, "hex|bin") == "bin";
   auto client = connect_client(argc, argv);
   const auto n = static_cast<std::uint32_t>(
       std::stoul(flag(argc, argv, "bytes", "32")));
@@ -324,31 +293,12 @@ int cmd_fetch(int argc, char** argv) {
     std::fprintf(stderr,
                  "warning: service is DEGRADED (DRBG fallback output)\n");
   }
-  if (flag(argc, argv, "format", "hex") == "bin") {
-    std::fwrite(result.bytes.data(), 1, result.bytes.size(), stdout);
-  } else {
-    for (std::size_t i = 0; i < result.bytes.size(); ++i) {
-      std::printf("%02x", result.bytes[i]);
-      if (i % 32 == 31) std::fputc('\n', stdout);
-    }
-    if (result.bytes.size() % 32 != 0) std::fputc('\n', stdout);
-  }
+  write_bytes(result.bytes, binary);
   return 0;
 }
 
-void write_bytes(const std::vector<std::uint8_t>& bytes, bool binary) {
-  if (binary) {
-    std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-    return;
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::printf("%02x", bytes[i]);
-    if (i % 32 == 31) std::fputc('\n', stdout);
-  }
-  if (bytes.size() % 32 != 0) std::fputc('\n', stdout);
-}
-
 int cmd_subscribe(int argc, char** argv) {
+  const bool binary = parse_format(argc, argv, "hex|bin") == "bin";
   auto client = connect_client(argc, argv);
   const auto chunk = static_cast<std::uint32_t>(
       std::stoul(flag(argc, argv, "bytes", "32")));
@@ -361,7 +311,6 @@ int cmd_subscribe(int argc, char** argv) {
     std::fprintf(stderr, "unknown --quality=%s\n", quality_str.c_str());
     return 2;
   }
-  const bool binary = flag(argc, argv, "format", "hex") == "bin";
 
   // Client-side noise-mode guard: the stream's fidelity is fixed by the
   // server, so when the caller asked for a specific mode, check the
@@ -430,14 +379,7 @@ int cmd_compare(int argc, char** argv) {
   opt.seed = std::stoull(flag(argc, argv, "seed", "42"));
   opt.bits = std::stoull(flag(argc, argv, "bits", "131072"));
   const std::string device = flag(argc, argv, "device", "");
-  if (device == "artix7") {
-    opt.devices = {fpga::DeviceModel::artix7()};
-  } else if (device == "virtex6") {
-    opt.devices = {fpga::DeviceModel::virtex6()};
-  } else if (!device.empty()) {
-    throw std::runtime_error("unknown --device=" + device +
-                             " (expected artix7|virtex6)");
-  }
+  if (!device.empty()) opt.devices = {parse_device(device)};
   std::string archs = flag(argc, argv, "archs", "");
   while (!archs.empty()) {
     const std::size_t comma = archs.find(',');
@@ -485,6 +427,9 @@ int main(int argc, char** argv) {
     if (cmd == "subscribe") return cmd_subscribe(argc, argv);
     if (cmd == "stats") return cmd_stats(argc, argv);
     if (cmd == "cert") return cmd_cert(argc, argv);
+  } catch (const std::invalid_argument& ex) {  // a bad flag value
+    std::fprintf(stderr, "%s: %s\n", cmd.c_str(), ex.what());
+    return 2;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "%s: %s\n", cmd.c_str(), ex.what());
     return 1;

@@ -79,7 +79,7 @@ class DhTrng final : public TrngSource {
 
   /// Slice packing report in the paper's type-constrained layout
   /// (Figure 5b); 8 slices for the full design.
-  fpga::SliceReport slice_report() const;
+  fpga::SliceReport slice_report() const override;
 
   const DhTrngConfig& config() const { return config_; }
 

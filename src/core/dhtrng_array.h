@@ -47,7 +47,7 @@ class DhTrngArray final : public TrngSource {
                                        std::size_t n_threads = 0);
 
   std::size_t cores() const { return cores_.size(); }
-  fpga::SliceReport slice_report() const;
+  fpga::SliceReport slice_report() const override;
 
  private:
   DhTrngArrayConfig config_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/dhtrng.h"
 #include "support/rng.h"
 #include "support/wordops.h"
 
@@ -61,23 +60,6 @@ EntropyPool::EntropyPool(EntropyPoolConfig config, SourceFactory factory)
   for (std::size_t i = 0; i < config_.producers; ++i) {
     states_[i]->thread = std::thread([this, i] { producer_loop(i); });
   }
-}
-
-EntropyPool EntropyPool::of_dhtrng(EntropyPoolConfig config, DhTrngConfig core) {
-  return EntropyPool(config, [core](std::size_t, std::uint64_t seed) {
-    DhTrngConfig per_producer = core;
-    per_producer.seed = seed;
-    return std::make_unique<DhTrng>(per_producer);
-  });
-}
-
-EntropyPool EntropyPool::of_dhtrng_soa(EntropyPoolConfig config,
-                                       DhTrngSoAConfig core) {
-  return EntropyPool(config, [core](std::size_t, std::uint64_t seed) {
-    DhTrngSoAConfig per_producer = core;
-    per_producer.core.seed = seed;
-    return std::make_unique<DhTrngSoA>(per_producer);
-  });
 }
 
 EntropyPool::~EntropyPool() { stop(); }

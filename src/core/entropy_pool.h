@@ -34,8 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/dhtrng.h"
-#include "core/dhtrng_soa.h"
 #include "core/trng.h"
 #include "stats/health.h"
 #include "stats/streaming.h"
@@ -106,22 +104,12 @@ class EntropyPool {
  public:
   /// Builds the TrngSource for producer `index`; called again with a fresh
   /// derived seed each time that producer is reseeded out of quarantine.
+  /// core::source_factory (core/sources.h) makes one for any registered
+  /// architecture.
   using SourceFactory = std::function<std::unique_ptr<TrngSource>(
       std::size_t index, std::uint64_t seed)>;
 
   EntropyPool(EntropyPoolConfig config, SourceFactory factory);
-
-  /// Convenience: a pool of DhTrng producers with the given per-core config
-  /// (seeds are re-derived per producer).
-  static EntropyPool of_dhtrng(EntropyPoolConfig config,
-                               DhTrngConfig core = {});
-
-  /// Convenience: a pool of DhTrngSoA producers — each producer is a
-  /// bitsliced 64-instance block, so one producer thread feeds the buffer
-  /// at bulk-generation rather than single-instance rate.  Seeds are
-  /// re-derived per producer exactly as in of_dhtrng.
-  static EntropyPool of_dhtrng_soa(EntropyPoolConfig config,
-                                   DhTrngSoAConfig core = {});
 
   ~EntropyPool();
 

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "fpga/power.h"
+#include "fpga/slice_packer.h"
 #include "sim/circuit.h"
 #include "support/bitstream.h"
 
@@ -54,6 +55,10 @@ class TrngSource {
 
   /// Switching-activity estimate for the power model.
   virtual fpga::ActivityEstimate activity() const = 0;
+
+  /// Slice packing of the design (the Table 6 area column); empty, i.e.
+  /// 0 slices, for a source without a slice model.
+  virtual fpga::SliceReport slice_report() const { return {}; }
 };
 
 }  // namespace dhtrng::core

@@ -1,12 +1,10 @@
 #include "core/zoo/compare.h"
 
 #include <iomanip>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "core/dhtrng.h"
-#include "core/zoo/zoo.h"
+#include "core/sources.h"
 #include "fpga/power.h"
 #include "fpga/slice_packer.h"
 #include "stats/ais31.h"
@@ -18,52 +16,6 @@
 
 namespace dhtrng::core {
 
-namespace {
-
-struct Entry {
-  std::unique_ptr<TrngSource> source;
-  std::size_t slices = 0;
-};
-
-Entry make_entry(const std::string& arch, const fpga::DeviceModel& device,
-                 std::uint64_t seed) {
-  if (arch == "dhtrng") {
-    DhTrngConfig cfg;
-    cfg.device = device;
-    cfg.seed = seed;
-    auto src = std::make_unique<DhTrng>(cfg);
-    const std::size_t slices = src->slice_report().slice_count();
-    return {std::move(src), slices};
-  }
-  if (arch == "neo") {
-    NeoTrngConfig cfg;
-    cfg.device = device;
-    cfg.seed = seed;
-    auto src = std::make_unique<NeoTrng>(cfg);
-    const std::size_t slices = src->slice_report().slice_count();
-    return {std::move(src), slices};
-  }
-  if (arch == "klein") {
-    KleinTrngConfig cfg;
-    cfg.device = device;
-    cfg.seed = seed;
-    auto src = std::make_unique<KleinTrng>(cfg);
-    const std::size_t slices = src->slice_report().slice_count();
-    return {std::move(src), slices};
-  }
-  if (arch == "hbn") {
-    HbnTrngConfig cfg;
-    cfg.device = device;
-    cfg.seed = seed;
-    auto src = std::make_unique<HbnTrng>(cfg);
-    const std::size_t slices = src->slice_report().slice_count();
-    return {std::move(src), slices};
-  }
-  throw std::invalid_argument("unknown architecture: " + arch);
-}
-
-}  // namespace
-
 CompareReport compare_architectures(const CompareOptions& options) {
   CompareOptions opt = options;
   if (opt.bits < 20000) {
@@ -73,12 +25,20 @@ CompareReport compare_architectures(const CompareOptions& options) {
   if (opt.devices.empty()) {
     opt.devices = {fpga::DeviceModel::artix7(), fpga::DeviceModel::virtex6()};
   }
-  if (opt.archs.empty()) {
-    opt.archs.push_back("dhtrng");
-    for (const std::string& name : zoo_source_names()) {
-      opt.archs.push_back(name);
+  // The FoM needs a slice count: an explicitly named architecture without
+  // a slice model is rejected like an unknown one; the default is every
+  // registered architecture that has one.
+  std::vector<std::string> archs;
+  for (const std::string& arch :
+       opt.archs.empty() ? source_names() : opt.archs) {
+    if (make_source(arch)->slice_report().slice_count() > 0) {
+      archs.push_back(arch);
+    } else if (!opt.archs.empty()) {
+      throw std::invalid_argument("compare_architectures: " + arch +
+                                  " has no slice model");
     }
   }
+  opt.archs = std::move(archs);
 
   CompareReport report;
   report.options = opt;
@@ -87,8 +47,9 @@ CompareReport compare_architectures(const CompareOptions& options) {
   support::SplitMix64 seeder(opt.seed);
   for (const fpga::DeviceModel& device : opt.devices) {
     for (const std::string& arch : opt.archs) {
-      Entry entry = make_entry(arch, device, seeder.next());
-      TrngSource& src = *entry.source;
+      const auto source =
+          make_source(arch, {.device = device, .seed = seeder.next()});
+      TrngSource& src = *source;
 
       const support::BitStream bits = src.generate(opt.bits);
       const support::BitStream head = bits.slice(0, 20000);
@@ -102,7 +63,7 @@ CompareReport compare_architectures(const CompareOptions& options) {
       row.luts = rc.luts;
       row.muxes = rc.muxes;
       row.dffs = rc.dffs;
-      row.slices = entry.slices;
+      row.slices = src.slice_report().slice_count();
       row.power_mw =
           fpga::estimate_power(device, src.activity()).total_w() * 1e3;
       row.min_entropy = stats::sp800_90b::overall_min_entropy(bits);

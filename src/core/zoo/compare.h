@@ -47,8 +47,9 @@ struct CompareOptions {
   std::size_t bits = 1u << 17;
   /// Device models to sweep; empty selects {artix7, virtex6}.
   std::vector<fpga::DeviceModel> devices;
-  /// Architectures by name ("dhtrng" plus zoo_source_names()); empty
-  /// selects all of them.
+  /// Architectures by registry name (core/sources.h), each of which must
+  /// have a slice model; empty selects every registered architecture that
+  /// has one (dhtrng, neo, klein, hbn).
   std::vector<std::string> archs;
 };
 
@@ -59,8 +60,8 @@ struct CompareReport {
   std::string text() const;
 };
 
-/// Throws std::invalid_argument on an unknown architecture name or
-/// `bits` < 20000.
+/// Throws std::invalid_argument on an unknown architecture name, one
+/// without a slice model, or `bits` < 20000.
 CompareReport compare_architectures(const CompareOptions& options = {});
 
 }  // namespace dhtrng::core

@@ -81,7 +81,7 @@ class HbnTrng final : public TrngSource {
   double clock_mhz() const override { return clock_mhz_; }
   fpga::ActivityEstimate activity() const override;
 
-  fpga::SliceReport slice_report() const;
+  fpga::SliceReport slice_report() const override;
 
   const HbnTrngConfig& config() const { return config_; }
 

@@ -86,7 +86,7 @@ class KleinTrng final : public TrngSource {
   }
   fpga::ActivityEstimate activity() const override;
 
-  fpga::SliceReport slice_report() const;
+  fpga::SliceReport slice_report() const override;
 
   const KleinTrngConfig& config() const { return config_; }
 

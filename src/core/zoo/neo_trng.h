@@ -145,7 +145,7 @@ class NeoTrng final : public TrngSource {
   }
   fpga::ActivityEstimate activity() const override;
 
-  fpga::SliceReport slice_report() const;
+  fpga::SliceReport slice_report() const override;
 
   const NeoTrngConfig& config() const { return config_; }
   /// von Neumann acceptance accounting since construction/restart.

@@ -1,45 +1,10 @@
 #include "core/zoo/zoo.h"
 
+#include "core/zoo/hbn_trng.h"
+#include "core/zoo/klein_trng.h"
+#include "core/zoo/neo_trng.h"
+
 namespace dhtrng::core {
-
-const std::vector<std::string>& zoo_source_names() {
-  static const std::vector<std::string> names{"neo", "klein", "hbn"};
-  return names;
-}
-
-std::unique_ptr<TrngSource> make_zoo_source(std::string_view name,
-                                            const ZooOptions& options) {
-  if (name == "neo") {
-    NeoTrngConfig cfg;
-    cfg.device = options.device;
-    cfg.pvt = options.pvt;
-    cfg.seed = options.seed;
-    cfg.backend = options.backend;
-    cfg.noise_mode = options.noise_mode;
-    cfg.raw = options.raw;
-    return std::make_unique<NeoTrng>(cfg);
-  }
-  if (name == "klein") {
-    KleinTrngConfig cfg;
-    cfg.device = options.device;
-    cfg.pvt = options.pvt;
-    cfg.seed = options.seed;
-    cfg.backend = options.backend;
-    cfg.noise_mode = options.noise_mode;
-    cfg.raw = options.raw;
-    return std::make_unique<KleinTrng>(cfg);
-  }
-  if (name == "hbn") {
-    HbnTrngConfig cfg;
-    cfg.device = options.device;
-    cfg.pvt = options.pvt;
-    cfg.seed = options.seed;
-    cfg.backend = options.backend;
-    cfg.noise_mode = options.noise_mode;
-    return std::make_unique<HbnTrng>(cfg);
-  }
-  return nullptr;
-}
 
 std::vector<NamedGateNetlist> zoo_gate_netlists(
     const fpga::DeviceModel& device) {

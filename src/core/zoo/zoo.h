@@ -1,46 +1,16 @@
 // The entropy-source zoo: alternative TRNG front-ends (neoTRNG, Klein-style
 // RO sampler, hybrid Boolean network) behind the common TrngSource
-// interface, registered by name so the pool, the service and trng_tool can
-// swap architectures without knowing any of them.  zoo_gate_netlists()
-// exposes the gate-level builds for the golden-waveform digest battery,
+// interface; core/sources.h builds them by name.  zoo_gate_netlists()
+// exposes their gate-level builds for the golden-waveform digest battery,
 // parallel to core::golden_gate_netlists().
 #pragma once
 
-#include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/netlist.h"  // NamedGateNetlist
-#include "core/trng.h"
-#include "core/zoo/hbn_trng.h"
-#include "core/zoo/klein_trng.h"
-#include "core/zoo/neo_trng.h"
 #include "fpga/device.h"
-#include "noise/jitter.h"
-#include "noise/pvt.h"
 
 namespace dhtrng::core {
-
-struct ZooOptions {
-  fpga::DeviceModel device = fpga::DeviceModel::artix7();
-  noise::PvtCondition pvt{};
-  std::uint64_t seed = 1;
-  Backend backend = Backend::Fast;
-  /// Gate-level backend noise fidelity.
-  noise::NoiseMode noise_mode = noise::NoiseMode::Exact;
-  /// Emit raw pre-postprocessing samples where the architecture has a
-  /// post-processing stage (neo: von Neumann + LFSR; klein: XOR fold).
-  bool raw = false;
-};
-
-/// Registered zoo architecture names: {"neo", "klein", "hbn"}.
-const std::vector<std::string>& zoo_source_names();
-
-/// Instantiate a zoo source by name at its default design point, or
-/// nullptr if `name` is not registered.
-std::unique_ptr<TrngSource> make_zoo_source(std::string_view name,
-                                            const ZooOptions& options = {});
 
 /// Gate-level builds of every zoo architecture for `device` (named "neo",
 /// "klein", "hbn"), each with a curated watch-net set — the inventory

@@ -45,8 +45,7 @@ EntropyServer::EntropyServer(EntropyServerConfig config,
       global_bucket_(config_.global_rate_bytes_per_s,
                      config_.global_burst_bytes, config_.clock) {
   if (config_.degraded_after_retired == 0) config_.degraded_after_retired = 1;
-  const std::size_t nshards = std::max<std::size_t>(
-      1, config_.shards != 0 ? config_.shards : config_.worker_threads);
+  const std::size_t nshards = std::max<std::size_t>(1, config_.shards);
   const Poller::Backend backend = config_.force_poll_backend
                                       ? Poller::Backend::Poll
                                       : Poller::Backend::Auto;
@@ -111,20 +110,6 @@ EntropyServer::EntropyServer(EntropyServerConfig config,
     Shard* s = shard.get();
     s->thread = std::thread([this, s] { shard_loop(*s); });
   }
-}
-
-std::unique_ptr<EntropyServer> EntropyServer::of_dhtrng(
-    EntropyServerConfig config, core::DhTrngConfig core) {
-  config.noise_mode_label =
-      core.noise_mode == noise::NoiseMode::Fast ? "fast" : "exact";
-  return std::make_unique<EntropyServer>(
-      std::move(config),
-      [core](std::size_t, std::uint64_t seed)
-          -> std::unique_ptr<core::TrngSource> {
-        core::DhTrngConfig per_producer = core;
-        per_producer.seed = seed;
-        return std::make_unique<core::DhTrng>(per_producer);
-      });
 }
 
 EntropyServer::~EntropyServer() { stop(); }

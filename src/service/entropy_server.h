@@ -62,7 +62,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/dhtrng.h"
 #include "core/drbg.h"
 #include "core/entropy_pool.h"
 #include "service/frame_assembler.h"
@@ -82,12 +81,8 @@ struct EntropyServerConfig {
   /// Unix-domain listener path; empty = disabled.
   std::string unix_path;
 
-  /// Event-loop shards (readiness-loop threads).  0 = use
-  /// `worker_threads`, which PR 5–7 configs already set.
-  std::size_t shards = 0;
-  /// Legacy name for the service concurrency knob; used when `shards` is
-  /// 0 so existing configs keep their meaning.
-  std::size_t worker_threads = 4;
+  /// Event-loop shards (readiness-loop threads); 0 is taken as 1.
+  std::size_t shards = 4;
   /// Connections beyond this get Status::Busy at accept time.
   std::size_t max_connections = 64;
   /// Per-request byte budget; larger GETs get Status::TooLarge.
@@ -111,8 +106,7 @@ struct EntropyServerConfig {
 
   /// Noise fidelity label reported as `noise_mode` in STATS output
   /// ("exact" or "fast").  Purely informational — the actual mode lives
-  /// in the producer configs the SourceFactory captures; of_dhtrng sets
-  /// this from DhTrngConfig::noise_mode automatically.
+  /// in the producer configs the SourceFactory captures.
   std::string noise_mode_label = "exact";
 
   /// DRBG parameters for the Drbg quality and the DEGRADED fallback
@@ -144,10 +138,6 @@ class EntropyServer {
   /// fault-injection tests drive the degradation ladder through it.
   EntropyServer(EntropyServerConfig config,
                 core::EntropyPool::SourceFactory factory);
-
-  /// Convenience: a server over a pool of DhTrng producers.
-  static std::unique_ptr<EntropyServer> of_dhtrng(EntropyServerConfig config,
-                                                  core::DhTrngConfig core = {});
 
   ~EntropyServer();
 

@@ -20,6 +20,7 @@
 #include "core/dhtrng_array.h"
 #include "core/dhtrng_soa.h"
 #include "core/entropy_pool.h"
+#include "core/sources.h"
 #include "support/simd_noise.h"
 #include "support/simd_tiers.h"
 
@@ -180,7 +181,9 @@ TEST(DhTrngSoA, EntropyPoolFactorySmoke) {
   cfg.block_bits = 1024;
   cfg.buffer_bytes = 4096;
   cfg.seed = 99;
-  auto pool = dhtrng::core::EntropyPool::of_dhtrng_soa(cfg);
+  dhtrng::core::EntropyPool pool(
+      cfg, dhtrng::core::source_factory(
+               "soa", {.noise_mode = dhtrng::noise::NoiseMode::Fast}));
   const auto bytes = pool.get_bytes(256);
   EXPECT_EQ(bytes.size(), 256u);
   pool.stop();

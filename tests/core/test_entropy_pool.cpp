@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/sources.h"
 #include "support/fault_sources.h"
 #include "support/rng.h"
 
@@ -466,9 +467,8 @@ TEST(EntropyPool, StaggeredRetirementEndsInEntropyExhausted) {
 }
 
 TEST(EntropyPool, DhTrngConvenienceFactory) {
-  auto pool = EntropyPool::of_dhtrng(
-      {.producers = 2, .buffer_bytes = 512, .block_bits = 256},
-      {.seed = 99});
+  EntropyPool pool({.producers = 2, .buffer_bytes = 512, .block_bits = 256},
+                   source_factory("dhtrng"));
   const auto bytes = pool.get_bytes(128);
   EXPECT_EQ(bytes.size(), 128u);
   EXPECT_EQ(pool.healthy_producers(), 2u);

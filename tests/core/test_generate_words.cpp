@@ -13,14 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/baselines/coso_trng.h"
-#include "core/baselines/latch_trng.h"
-#include "core/baselines/msf_ro_trng.h"
-#include "core/baselines/tero_trng.h"
-#include "core/baselines/xor_ro_trng.h"
-#include "core/dhtrng.h"
-#include "core/dhtrng_soa.h"
-#include "core/zoo/zoo.h"
+#include "core/sources.h"
 #include "support/fault_sources.h"
 
 namespace dhtrng::core {
@@ -32,51 +25,33 @@ struct SourceCase {
   std::size_t words;  ///< stream length under test, in 64-bit words
 };
 
+/// Every registry entry, plus the engine it can switch to: a gate-level
+/// build (fast noise, the shorter stream: a simulator step per bit) or the
+/// other noise engine of a word-parallel source (Exact is 64 scalar lanes).
 std::vector<SourceCase> all_sources() {
   std::vector<SourceCase> cases;
-  cases.push_back({"dhtrng_fast", [] {
-    return std::make_unique<DhTrng>(DhTrngConfig{.seed = 11});
-  }, 8});
-  cases.push_back({"dhtrng_gate", [] {
-    DhTrngConfig cfg{.seed = 12};
-    cfg.backend = Backend::GateLevel;
-    cfg.noise_mode = noise::NoiseMode::Fast;
-    return std::make_unique<DhTrng>(cfg);
-  }, 2});
-  cases.push_back({"soa_fast", [] {
-    DhTrngSoAConfig cfg;
-    cfg.core.seed = 13;
-    cfg.noise_mode = noise::NoiseMode::Fast;
-    return std::make_unique<DhTrngSoA>(cfg);
-  }, 8});
-  cases.push_back({"soa_exact", [] {
-    DhTrngSoAConfig cfg;
-    cfg.core.seed = 14;
-    cfg.noise_mode = noise::NoiseMode::Exact;
-    return std::make_unique<DhTrngSoA>(cfg);
-  }, 3});
-  for (const std::string& zoo : zoo_source_names()) {
-    cases.push_back({"zoo_" + zoo, [zoo] {
-      ZooOptions options;
-      options.seed = 15;
-      return make_zoo_source(zoo, options);
-    }, 8});
+  std::uint64_t seed = 11;
+  const auto add = [&](const std::string& label, const std::string& name,
+                       SourceOptions options, std::size_t words) {
+    options.seed = seed++;
+    cases.push_back({label, [name, options] {
+      return make_source(name, options);
+    }, words});
+  };
+  for (const std::string& name : source_names()) {
+    const SourceCapabilities caps = source_capabilities(name);
+    if (caps.gate_level) {
+      add(name + "_fast", name, {}, 8);
+      add(name + "_gate", name,
+          {.backend = Backend::GateLevel,
+           .noise_mode = noise::NoiseMode::Fast}, 2);
+    } else if (caps.word_parallel) {
+      add(name + "_fast", name, {.noise_mode = noise::NoiseMode::Fast}, 8);
+      add(name + "_exact", name, {}, 3);
+    } else {
+      add(name, name, {}, 8);
+    }
   }
-  cases.push_back({"xor_ro", [] {
-    return std::make_unique<XorRoTrng>(XorRoConfig{.seed = 16});
-  }, 8});
-  cases.push_back({"coso", [] {
-    return std::make_unique<CosoTrng>(CosoConfig{.seed = 17});
-  }, 8});
-  cases.push_back({"tero", [] {
-    return std::make_unique<TeroTrng>(TeroConfig{.seed = 18});
-  }, 8});
-  cases.push_back({"latch", [] {
-    return std::make_unique<LatchTrng>(LatchTrngConfig{.seed = 19});
-  }, 8});
-  cases.push_back({"msf_ro", [] {
-    return std::make_unique<MsfRoTrng>(MsfRoConfig{.seed = 20});
-  }, 8});
   cases.push_back({"fault_ideal", [] {
     return std::make_unique<testsupport::IdealSource>(21);
   }, 8});

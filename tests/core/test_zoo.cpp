@@ -10,12 +10,17 @@
 #include <memory>
 #include <string>
 
+#include "core/sources.h"
 #include "core/zoo/compare.h"
+#include "core/zoo/hbn_trng.h"
+#include "core/zoo/klein_trng.h"
+#include "core/zoo/neo_trng.h"
 #include "core/zoo/zoo.h"
 #include "fpga/device.h"
 #include "stats/correlation.h"
 #include "support/bitstream.h"
 #include "support/rng.h"
+#include "support/zoo_archs.h"
 
 namespace dhtrng::core {
 namespace {
@@ -173,9 +178,7 @@ TEST(NeoTrng, ExtractionPipelineAccounting) {
 class ZooSourceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ZooSourceTest, BehavioralSanity) {
-  ZooOptions opt;
-  opt.seed = 5;
-  auto src = make_zoo_source(GetParam(), opt);
+  auto src = make_source(GetParam(), {.seed = 5});
   ASSERT_NE(src, nullptr);
 
   const auto bits = src->generate(20000);
@@ -201,32 +204,23 @@ TEST_P(ZooSourceTest, BehavioralSanity) {
 }
 
 TEST_P(ZooSourceTest, SameSeedReproducesSameStream) {
-  ZooOptions opt;
-  opt.seed = 21;
-  auto a = make_zoo_source(GetParam(), opt);
-  auto b = make_zoo_source(GetParam(), opt);
+  auto a = make_source(GetParam(), {.seed = 21});
+  auto b = make_source(GetParam(), {.seed = 21});
   EXPECT_EQ(a->generate(4000), b->generate(4000));
-  opt.seed = 22;
-  auto c = make_zoo_source(GetParam(), opt);
+  auto c = make_source(GetParam(), {.seed = 22});
   EXPECT_NE(a->generate(4000), c->generate(4000));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, ZooSourceTest,
-                         ::testing::ValuesIn(zoo_source_names()),
+                         ::testing::ValuesIn(testsupport::kZooArchs),
                          [](const auto& info) { return info.param; });
-
-TEST(ZooRegistry, UnknownNameReturnsNull) {
-  EXPECT_EQ(make_zoo_source("bogus"), nullptr);
-  EXPECT_EQ(make_zoo_source(""), nullptr);
-  EXPECT_EQ(make_zoo_source("dhtrng"), nullptr);  // not a zoo entry
-  EXPECT_EQ(zoo_source_names().size(), 3u);
-}
 
 TEST(ZooRegistry, GateNetlistsCoverEveryArchitecture) {
   const auto nets = zoo_gate_netlists(fpga::DeviceModel::artix7());
-  ASSERT_EQ(nets.size(), zoo_source_names().size());
+  ASSERT_EQ(nets.size(), testsupport::kZooArchs.size());
   for (std::size_t i = 0; i < nets.size(); ++i) {
-    EXPECT_EQ(nets[i].name, zoo_source_names()[i]);
+    EXPECT_EQ(nets[i].name, testsupport::kZooArchs[i]);
+    EXPECT_TRUE(source_capabilities(nets[i].name).gate_level);
     EXPECT_FALSE(nets[i].watch.empty());
     EXPECT_NO_THROW(nets[i].circuit.validate()) << nets[i].name;
   }
@@ -292,12 +286,9 @@ TEST(ZooResources, KleinAndHbnPackGroupsMatchBehavioral) {
 }
 
 TEST(ZooResources, SlicePackingIsNonTrivial) {
-  for (const auto& name : zoo_source_names()) {
-    auto src = make_zoo_source(name);
-    std::size_t slices = 0;
-    if (name == "neo") slices = NeoTrng().slice_report().slice_count();
-    if (name == "klein") slices = KleinTrng().slice_report().slice_count();
-    if (name == "hbn") slices = HbnTrng().slice_report().slice_count();
+  for (const auto& name : testsupport::kZooArchs) {
+    auto src = make_source(name);
+    const std::size_t slices = src->slice_report().slice_count();
     EXPECT_GT(slices, 0u) << name;
     // Sanity: the packer cannot beat the LUT/FF capacity bound.
     const sim::ResourceCounts rc = src->resources();

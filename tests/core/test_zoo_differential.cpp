@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sources.h"
 #include "core/zoo/zoo.h"
 #include "fpga/device.h"
 #include "sim/simulator.h"
@@ -32,6 +33,7 @@
 #include "stats/correlation.h"
 #include "support/bitstream.h"
 #include "support/sha256.h"
+#include "support/zoo_archs.h"
 
 namespace dhtrng::core {
 namespace {
@@ -164,18 +166,18 @@ TEST_P(ZooBackendDifferential, RawStreamsLandInTheSameRegime) {
   constexpr std::size_t kFastBits = 20000;
   constexpr double kBandPercent = 5.0;
 
-  ZooOptions opt;
+  SourceOptions opt;
   opt.seed = 3;
   opt.raw = true;
 
   opt.backend = Backend::Fast;
-  auto fast = make_zoo_source(GetParam(), opt);
+  auto fast = make_source(GetParam(), opt);
   ASSERT_NE(fast, nullptr);
   const double fast_bias = stats::bias_percent(fast->generate(kFastBits));
   EXPECT_LT(fast_bias, kBandPercent) << fast->name();
 
   opt.backend = Backend::GateLevel;
-  auto gate = make_zoo_source(GetParam(), opt);
+  auto gate = make_source(GetParam(), opt);
   ASSERT_NE(gate, nullptr);
   const support::BitStream gate_bits = gate->generate(kGateBits);
   EXPECT_LT(stats::bias_percent(gate_bits), kBandPercent) << gate->name();
@@ -194,27 +196,27 @@ TEST_P(ZooBackendDifferential, GateBackendIsDeterministicPerSeedAndMode) {
   constexpr std::size_t kBits = 1500;
   for (const noise::NoiseMode mode :
        {noise::NoiseMode::Exact, noise::NoiseMode::Fast}) {
-    ZooOptions opt;
+    SourceOptions opt;
     opt.seed = 17;
     opt.raw = true;
     opt.backend = Backend::GateLevel;
     opt.noise_mode = mode;
-    auto a = make_zoo_source(GetParam(), opt);
-    auto b = make_zoo_source(GetParam(), opt);
+    auto a = make_source(GetParam(), opt);
+    auto b = make_source(GetParam(), opt);
     ASSERT_NE(a, nullptr);
     EXPECT_EQ(a->generate(kBits), b->generate(kBits))
         << GetParam() << (mode == noise::NoiseMode::Fast ? " fast" : " exact");
   }
   // Fast-noise waveforms are deterministic but NOT bit-compatible with
   // Exact — the trimmed-kernel contract (noise::NoiseMode).
-  ZooOptions opt;
+  SourceOptions opt;
   opt.seed = 17;
   opt.raw = true;
   opt.backend = Backend::GateLevel;
   opt.noise_mode = noise::NoiseMode::Exact;
-  auto exact = make_zoo_source(GetParam(), opt);
+  auto exact = make_source(GetParam(), opt);
   opt.noise_mode = noise::NoiseMode::Fast;
-  auto fastnoise = make_zoo_source(GetParam(), opt);
+  auto fastnoise = make_source(GetParam(), opt);
   EXPECT_NE(exact->generate(kBits), fastnoise->generate(kBits)) << GetParam();
 }
 
@@ -225,9 +227,9 @@ TEST_P(ZooBackendDifferential, RestartMatrixStreamsAreDistinctAndUnbiased) {
   constexpr int kRestarts = 8;
   constexpr std::size_t kBits = 4000;
 
-  ZooOptions opt;
+  SourceOptions opt;
   opt.seed = 29;
-  auto src = make_zoo_source(GetParam(), opt);
+  auto src = make_source(GetParam(), opt);
   ASSERT_NE(src, nullptr);
 
   std::set<std::string> fingerprints;
@@ -254,7 +256,7 @@ TEST_P(ZooBackendDifferential, RestartMatrixStreamsAreDistinctAndUnbiased) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, ZooBackendDifferential,
-                         ::testing::ValuesIn(zoo_source_names()),
+                         ::testing::ValuesIn(testsupport::kZooArchs),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

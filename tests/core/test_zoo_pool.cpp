@@ -15,8 +15,9 @@
 #include <memory>
 #include <thread>
 
-#include "core/zoo/zoo.h"
+#include "core/sources.h"
 #include "support/fault_sources.h"
+#include "support/zoo_archs.h"
 
 namespace dhtrng::core {
 namespace {
@@ -34,19 +35,11 @@ bool eventually(Predicate done, int timeout_ms = 30000) {
   return true;
 }
 
-EntropyPool::SourceFactory zoo_factory(const std::string& arch) {
-  return [arch](std::size_t, std::uint64_t seed) {
-    ZooOptions opt;
-    opt.seed = seed;
-    return make_zoo_source(arch, opt);
-  };
-}
-
 class ZooPoolTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ZooPoolTest, HealthyProductionWithCertification) {
   EntropyPool pool({.producers = 2, .buffer_bytes = 1024, .block_bits = 512},
-                   zoo_factory(GetParam()));
+                   source_factory(GetParam()));
   const auto bytes = pool.get_bytes(2048);
   EXPECT_EQ(bytes.size(), 2048u);
   EXPECT_EQ(pool.healthy_producers(), 2u);
@@ -86,9 +79,7 @@ TEST_P(ZooPoolTest, DyingSourceIsQuarantinedAndCured) {
       {.producers = 2, .buffer_bytes = 2048, .block_bits = 512},
       [&](std::size_t index,
           std::uint64_t seed) -> std::unique_ptr<TrngSource> {
-        ZooOptions opt;
-        opt.seed = seed;
-        auto src = make_zoo_source(arch, opt);
+        auto src = make_source(arch, {.seed = seed});
         if (index == 0 && builds_of_producer0.fetch_add(1) == 0) {
           return std::make_unique<DegradingSource>(std::move(src), 3000);
         }
@@ -120,9 +111,7 @@ TEST_P(ZooPoolTest, BiasCollapseIsCaughtByTheAdaptiveProportionTest) {
        .max_reseeds = 1},
       [&](std::size_t index,
           std::uint64_t seed) -> std::unique_ptr<TrngSource> {
-        ZooOptions opt;
-        opt.seed = seed;
-        auto src = make_zoo_source(arch, opt);
+        auto src = make_source(arch, {.seed = seed});
         if (index == 0) {
           const std::uint64_t fail_at =
               builds_of_producer0.fetch_add(1) == 0 ? 2000 : 0;
@@ -144,7 +133,7 @@ TEST_P(ZooPoolTest, BiasCollapseIsCaughtByTheAdaptiveProportionTest) {
 // with the physical models on the producer threads.
 TEST_P(ZooPoolTest, CertSnapshotRacesProductionCleanly) {
   EntropyPool pool({.producers = 2, .buffer_bytes = 2048, .block_bits = 256},
-                   zoo_factory(GetParam()));
+                   source_factory(GetParam()));
   std::atomic<bool> done{false};
   std::thread consumer([&] {
     while (!done.load(std::memory_order_acquire)) {
@@ -166,7 +155,7 @@ TEST_P(ZooPoolTest, CertSnapshotRacesProductionCleanly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, ZooPoolTest,
-                         ::testing::ValuesIn(zoo_source_names()),
+                         ::testing::ValuesIn(testsupport::kZooArchs),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

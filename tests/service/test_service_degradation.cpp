@@ -97,7 +97,7 @@ TEST(ServiceDegradation, FullLadderHealthyToDegradedToExhausted) {
   cfg.pool.block_bits = 512;
   cfg.pool.max_reseeds = 1;
   cfg.degraded_after_retired = 1;
-  cfg.worker_threads = 2;
+  cfg.shards = 2;
   // Make every degraded DRBG draw pull fresh pool entropy so the client's
   // fetch loop keeps pumping producer 1 toward its own failure point.
   cfg.drbg.reseed_interval = 1;

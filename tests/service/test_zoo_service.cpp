@@ -16,11 +16,12 @@
 #include <thread>
 #include <vector>
 
-#include "core/zoo/zoo.h"
+#include "core/sources.h"
 #include "service/client.h"
 #include "service/entropy_server.h"
 #include "stats/streaming.h"
 #include "support/fault_sources.h"
+#include "support/zoo_archs.h"
 
 namespace dhtrng::service {
 namespace {
@@ -28,13 +29,6 @@ namespace {
 using stats::streaming::Snapshot;
 using stats::streaming::SourceTracker;
 using testsupport::DegradingSource;
-
-std::unique_ptr<core::TrngSource> zoo_source(const std::string& arch,
-                                             std::uint64_t seed) {
-  core::ZooOptions opt;
-  opt.seed = seed;
-  return core::make_zoo_source(arch, opt);
-}
 
 std::map<std::string, std::string> parse_kv(const std::string& text) {
   std::map<std::string, std::string> kv;
@@ -65,9 +59,7 @@ TEST_P(ZooServiceTest, HealthyServiceCertifiesClean) {
   cfg.pool.producers = 2;
   cfg.pool.buffer_bytes = 1 << 13;
   cfg.pool.block_bits = 512;
-  EntropyServer server(cfg, [&](std::size_t, std::uint64_t seed) {
-    return zoo_source(GetParam(), seed);
-  });
+  EntropyServer server(cfg, core::source_factory(GetParam()));
   auto client = EntropyClient::connect_tcp("127.0.0.1", server.tcp_port());
 
   for (const Quality q :
@@ -110,7 +102,7 @@ TEST_P(ZooServiceTest, FullLadderHealthyToDegradedToExhausted) {
   cfg.pool.block_bits = 512;
   cfg.pool.max_reseeds = 1;
   cfg.degraded_after_retired = 1;
-  cfg.worker_threads = 2;
+  cfg.shards = 2;
   cfg.drbg.reseed_interval = 1;
 
   std::vector<int> builds{0, 0};
@@ -121,7 +113,7 @@ TEST_P(ZooServiceTest, FullLadderHealthyToDegradedToExhausted) {
         const std::uint64_t fail_at =
             builds[index]++ == 0 ? (index == 0 ? 16000 : 48000) : 0;
         return std::make_unique<DegradingSource>(
-            zoo_source(GetParam(), seed), fail_at);
+            core::make_source(GetParam(), {.seed = seed}), fail_at);
       });
   auto client = EntropyClient::connect_tcp("127.0.0.1", server.tcp_port());
 
@@ -193,8 +185,8 @@ TEST_P(ZooServiceTest, BiasCollapseFlipsCertVerdictWithoutHealthAlarm) {
       [&](std::size_t,
           std::uint64_t seed) -> std::unique_ptr<core::TrngSource> {
         source_seed = seed;  // first (and only) build; quarantines stay 0
-        return std::make_unique<DegradingSource>(zoo_source(GetParam(), seed),
-                                                 kFailAtBit, 0.7);
+        return std::make_unique<DegradingSource>(
+            core::make_source(GetParam(), {.seed = seed}), kFailAtBit, 0.7);
       });
   auto client = EntropyClient::connect_tcp("127.0.0.1", server.tcp_port());
 
@@ -212,8 +204,8 @@ TEST_P(ZooServiceTest, BiasCollapseFlipsCertVerdictWithoutHealthAlarm) {
   // Offline replica: the zoo sources are deterministic per seed, so the
   // identically-wrapped source regenerates the very stream the producer
   // fed its tracker.
-  DegradingSource replay(zoo_source(GetParam(), source_seed), kFailAtBit,
-                         0.7);
+  DegradingSource replay(core::make_source(GetParam(), {.seed = source_seed}),
+                         kFailAtBit, 0.7);
   SourceTracker replica(live.tracker);
   std::vector<std::uint8_t> block(kBlockBits / 8);
   while (replica.bits() < kQuiescentBits) {
@@ -248,7 +240,7 @@ TEST_P(ZooServiceTest, BiasCollapseFlipsCertVerdictWithoutHealthAlarm) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, ZooServiceTest,
-                         ::testing::ValuesIn(core::zoo_source_names()),
+                         ::testing::ValuesIn(testsupport::kZooArchs),
                          [](const auto& info) { return info.param; });
 
 }  // namespace
