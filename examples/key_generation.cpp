@@ -26,8 +26,12 @@ bool block_is_healthy(const support::BitStream& block) {
          stats::ais31::t4_long_run(block);
 }
 
-support::BitStream draw_bits(core::EntropyPool& pool, std::size_t nbits) {
-  return support::BitStream::from_bytes(pool.get_bytes((nbits + 7) / 8))
+/// Draws `nbits` from the pool, adding the bytes taken to `bytes_drawn`.
+support::BitStream draw_bits(core::EntropyPool& pool, std::size_t nbits,
+                             std::size_t& bytes_drawn) {
+  const std::size_t nbytes = (nbits + 7) / 8;
+  bytes_drawn += nbytes;
+  return support::BitStream::from_bytes(pool.get_bytes(nbytes))
       .slice(0, nbits);
 }
 
@@ -48,8 +52,9 @@ int main(int argc, char** argv) {
 
   // Startup test: discard and verify the first block (AIS-31 requires the
   // startup sequence to be tested and thrown away).
+  std::size_t bytes_drawn = 0;
   {
-    const auto startup = draw_bits(pool, 20000);
+    const auto startup = draw_bits(pool, 20000, bytes_drawn);
     if (!block_is_healthy(startup)) {
       std::fprintf(stderr, "startup health test failed\n");
       return 1;
@@ -61,7 +66,7 @@ int main(int argc, char** argv) {
   std::size_t blocks_tested = 0, blocks_rejected = 0;
   const auto refill = [&](std::size_t needed) {
     while (material.size() < needed) {
-      const auto block = draw_bits(pool, 20000);
+      const auto block = draw_bits(pool, 20000, bytes_drawn);
       ++blocks_tested;
       if (block_is_healthy(block)) {
         material.append(block);
@@ -89,6 +94,6 @@ int main(int argc, char** argv) {
               pool.quarantine_events());
   std::printf("%zu blocks screened, %zu rejected; %zu bytes drawn from the "
               "pool in total\n",
-              blocks_tested, blocks_rejected, pool.bytes_produced());
+              blocks_tested, blocks_rejected, bytes_drawn);
   return 0;
 }

@@ -14,6 +14,7 @@
 // them per experiment.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -65,8 +66,11 @@ class SharedSupplyNoise {
   SharedSupplyNoise(double sigma_ps, std::uint64_t seed,
                     double correlation = 0.995);
 
-  /// Advance one step and return the current value (ps).
-  double step() {
+  /// Advance one step and return the current value (ps).  Always inlined:
+  /// it runs once per gate event inside the simulator's per-tier event
+  /// loops (sim/simulator_loop.inc), which must not share an out-of-line
+  /// copy compiled for another instruction set.
+  [[gnu::always_inline]] double step() {
     if (block_pos_ < block_.size()) {
       value_ = block_[block_pos_++];
       return value_;
@@ -113,7 +117,7 @@ class EdgeJitterSource {
   /// applied to the component sigmas.  The batched fast path (block
   /// already filled) is inline; refills and per-call draws go out of
   /// line.
-  double next_edge_jitter(const PvtScaling& scale) {
+  [[gnu::always_inline]] double next_edge_jitter(const PvtScaling& scale) {
     if (block_pos_ < white_block_.size()) {
       const double white = white_block_[block_pos_];
       const double flicker = flicker_block_[block_pos_];
@@ -139,8 +143,11 @@ class EdgeJitterSource {
                          const PvtScaling& scale);
 
   /// Next complete gate delay (ps), clamped to the floor passed to
-  /// enable_fast_delay.  Call only after enable_fast_delay.
-  double next_delay_fast() {
+  /// enable_fast_delay.  Call only after enable_fast_delay.  The fma is
+  /// one instruction where the caller is built with FMA (the simulator's
+  /// vector-tier event loops) and a libm call at the x86-64 baseline; it
+  /// rounds once either way.
+  [[gnu::always_inline]] double next_delay_fast() {
     if (delay_pos_ >= delay_block_.size()) refill_fast();
     double d = delay_block_[delay_pos_++];
     if (shared_ != nullptr) {
@@ -167,7 +174,8 @@ class EdgeJitterSource {
 
   /// Identical arithmetic to the historical per-call path:
   /// gaussian(0, sigma) == 0.0 + sigma * gaussian().
-  double combine(double white, double flicker, const PvtScaling& scale) {
+  [[gnu::always_inline]] double combine(double white, double flicker,
+                                        const PvtScaling& scale) {
     double jitter = 0.0 + params_.white_sigma_ps * scale.white_jitter * white;
     jitter += flicker * scale.correlated_noise;
     if (shared_ != nullptr) {

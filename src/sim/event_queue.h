@@ -10,25 +10,34 @@
 // ordinal, so the calendar pops in exactly the same order as the heap —
 // which is what the differential fuzz tests assert event-for-event.
 //
+// Storage is one flat arena: bucket b owns the kSlots consecutive slots
+// starting at b * kSlots, count_[b] says how many of them hold events, and
+// the occupancy bitmap has one bit per nonempty bucket.  An event is the
+// SimEvent itself; its ordinal is recomputed from its time whenever it is
+// needed, with the same multiply the push used.  A bucket that outgrows
+// its slots spills the rest to a per-bucket side vector (a cold path: the
+// width retune keeps buckets short).  Cancellation removes the event in
+// place — the bucket's last entry fills the hole — so there are no
+// tombstones to reclaim.
+//
 // Pops drain a *run buffer*: when the minimum is needed, every event of
 // the lowest occupied ordinal is extracted from its bucket in one pass,
-// sorted once, and subsequent pops just advance a cursor — no per-pop
-// bucket scan, no per-pop entry removal.  A push landing inside the
-// current ordinal (rare: the simulator schedules ahead of now) inserts
-// into the sorted run; a push landing *before* it (arbitrary use of the
-// public API, never the simulator) flushes the run back first.  This
-// changes only how the minimum is found, not which event is the minimum,
-// so pop order is untouched.
+// sorted once (an inline insertion sort: runs hold a few events), and
+// subsequent pops just advance a cursor — no per-pop bucket scan, no
+// per-pop entry removal.  A push landing inside the current ordinal
+// inserts into the sorted run; a push landing *before* it (arbitrary use
+// of the public API, never the simulator) flushes the run back first.
+// This changes only how the minimum is found, not which event is the
+// minimum, so pop order is untouched.
 //
-// Bucket entries carry the whole event payload plus a tombstone flag, so
-// extraction touches one contiguous array and nothing else.  Cancellation
-// (inertial runt swallowing) marks the bucket entry dead in place — or
-// erases it from the run if the ordinal is already extracted; tombstones
-// are reclaimed when their ordinal is next extracted.
+// push, cancel and pop_if_due are always inlined: the simulator compiles
+// its event loop once per SIMD dispatch tier (sim/simulator_loop.inc), and
+// an out-of-line copy of a header function would be shared by all tiers.
+// Everything they call out of line is a cold path defined in
+// event_queue.cpp, built once at the baseline instruction set.
 #pragma once
 
-#include <algorithm>
-#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,45 +58,34 @@ inline bool operator==(const SimEvent& a, const SimEvent& b) {
          a.value == b.value;
 }
 
+/// The schedule's strict total order: time, then insertion sequence.
+[[gnu::always_inline]] inline bool event_before(const SimEvent& a,
+                                                const SimEvent& b) {
+  return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+}
+
 class CalendarQueue {
  public:
+  /// Arena slots per bucket; fuller buckets spill (see the header comment).
+  static constexpr std::uint32_t kSlots = 8;
+
   /// `bucket_width_ps` is the time span hashed into one bucket; the queue
   /// retunes it at runtime from the observed event density, so the
   /// starting value only has to be in the right ballpark.
   explicit CalendarQueue(double bucket_width_ps,
-                         std::size_t initial_buckets = 64)
-      : width_(bucket_width_ps > 0.0 ? bucket_width_ps : 1.0),
-        inv_width_(1.0 / width_) {
-    std::size_t n = 1;
-    while (n < initial_buckets) n <<= 1;
-    buckets_.resize(n);
-    occ_.assign(n >= 64 ? n >> 6 : 1, 0);
-  }
+                         std::size_t initial_buckets = 64);
 
   bool empty() const { return live_ == 0; }
   std::size_t live() const { return live_; }
 
-  void push(double time, std::uint64_t seq, NetId net, bool value) {
-    // Multiply by the cached reciprocal: the ordinal only has to be a
-    // monotone function of time computed consistently (here, in cancel()
-    // and in rebuild()); exact division-boundary placement is irrelevant.
-    const std::uint64_t ord = static_cast<std::uint64_t>(time * inv_width_);
+  [[gnu::always_inline]] void push(double time, std::uint64_t seq, NetId net,
+                                   bool value) {
+    const std::uint64_t ord = ordinal(time);
+    const SimEvent ev{time, seq, net, value};
     ++live_;
     if (have_run_) {
       if (ord == run_ord_) {
-        // Into the already-extracted ordinal: keep the run sorted.  An
-        // equal-time event loses to every queued one (seq is strictly
-        // increasing), so upper-bound on time alone is the (time, seq)
-        // position.
-        const auto it = std::upper_bound(
-            run_.begin() + static_cast<std::ptrdiff_t>(run_head_), run_.end(),
-            time,
-            [](double t, const SimEvent& e) { return t < e.time; });
-        // The shifted tail counts as minimum-search work: a width so
-        // coarse that pushes keep landing inside the extracted ordinal
-        // must show up in the retune metric.
-        scanned_ += static_cast<std::uint64_t>(run_.end() - it);
-        run_.insert(it, SimEvent{time, seq, net, value});
+        insert_into_run(ev);
         return;
       }
       if (ord < run_ord_) {
@@ -98,36 +96,41 @@ class CalendarQueue {
         cur_ord_ = ord;
       }
     }
-    const std::size_t bucket = ord & (buckets_.size() - 1);
-    buckets_[bucket].push_back(
-        {time, ord, seq, net, value ? std::uint8_t{1} : std::uint8_t{0}, 0});
-    occ_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-    ++stored_;
-    if (stored_ > buckets_.size() * 8) grow();
+    store(static_cast<std::size_t>(ord & mask_), ev);
+    if (stored_ > bucket_count() * 8) grow();
   }
 
-  /// Remove the still-queued event pushed as (time, seq) — O(bucket) with
-  /// short buckets, O(1) amortized.  A bucket-resident event is
-  /// tombstoned in place and reclaimed when its ordinal is extracted; an
-  /// event already in the drain run is erased from it.  The caller must
-  /// pass the exact time used at push (the simulator keys this off its
-  /// per-net bookkeeping).
-  void cancel(double time, std::uint64_t seq) {
-    const std::uint64_t ord = static_cast<std::uint64_t>(time * inv_width_);
+  /// Remove the still-queued event pushed as (time, seq).  An event in
+  /// the drain run is erased from it; a bucket-resident one is replaced by
+  /// its bucket's last entry.  The caller must pass the exact time used at
+  /// push (the simulator keys this off its per-net bookkeeping).
+  [[gnu::always_inline]] void cancel(double time, std::uint64_t seq) {
+    const std::uint64_t ord = ordinal(time);
     if (have_run_ && ord == run_ord_) {
-      for (std::size_t i = run_head_; i < run_.size(); ++i) {
-        if (run_[i].seq == seq) {
-          run_.erase(run_.begin() + static_cast<std::ptrdiff_t>(i));
+      SimEvent* r = run_.data();
+      for (std::size_t i = run_head_; i < run_end_; ++i) {
+        if (r[i].seq == seq) {
+          for (std::size_t j = i + 1; j < run_end_; ++j) r[j - 1] = r[j];
+          --run_end_;
           --live_;
           return;
         }
       }
       return;
     }
-    std::vector<Entry>& b = buckets_[ord & (buckets_.size() - 1)];
-    for (Entry& e : b) {
-      if (e.seq == seq) {
-        e.dead = 1;
+    const std::size_t b = static_cast<std::size_t>(ord & mask_);
+    const std::uint32_t n = count_[b];
+    if (n > kSlots) {
+      cancel_in_overflowed(b, seq);
+      return;
+    }
+    SimEvent* s = slots_.data() + b * kSlots;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (s[i].seq == seq) {
+        s[i] = s[n - 1];
+        count_[b] = n - 1;
+        if (n == 1) occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+        --stored_;
         --live_;
         return;
       }
@@ -137,7 +140,7 @@ class CalendarQueue {
   /// Earliest live event in (time, seq) order, or nullptr when empty.
   /// The pointer stays valid until the next push/cancel/pop.
   const SimEvent* peek() {
-    if (run_head_ < run_.size()) return &run_[run_head_];
+    if (run_head_ < run_end_) return &run_[run_head_];
     if (live_ == 0) return nullptr;
     refill_run();
     return &run_[run_head_];
@@ -145,7 +148,7 @@ class CalendarQueue {
 
   /// Remove and return the earliest live event (queue must be non-empty).
   SimEvent pop() {
-    if (run_head_ >= run_.size()) refill_run();
+    if (run_head_ >= run_end_) refill_run();
     const SimEvent ev = run_[run_head_++];
     --live_;
     if (++pops_ >= retune_pops_) maybe_retune();
@@ -156,8 +159,8 @@ class CalendarQueue {
   /// event into `out` iff its time is <= `t_ps`.  The common path is a
   /// bounds check and a cursor advance on the sorted run — it reads no
   /// bucket memory at all.
-  bool pop_if_due(double t_ps, SimEvent& out) {
-    if (run_head_ >= run_.size()) {
+  [[gnu::always_inline]] bool pop_if_due(double t_ps, SimEvent& out) {
+    if (run_head_ >= run_end_) {
       if (live_ == 0) return false;
       refill_run();
     }
@@ -171,264 +174,83 @@ class CalendarQueue {
   }
 
   double bucket_width_ps() const { return width_; }
-  std::size_t bucket_count() const { return buckets_.size(); }
-  std::size_t stored() const { return stored_ + (run_.size() - run_head_); }
+  std::size_t bucket_count() const {
+    return static_cast<std::size_t>(mask_) + 1;
+  }
+  /// Events held in buckets (arena and spill) plus the undrained run.
+  std::size_t stored() const { return stored_ + (run_end_ - run_head_); }
 
  private:
-  /// Bucket entry: the full event payload plus the calendar bookkeeping.
-  /// `ord` distinguishes rotations sharing the bucket hash.
-  struct Entry {
-    double time;
-    std::uint64_t ord;
-    std::uint64_t seq;
-    NetId net;
-    std::uint8_t value;
-    std::uint8_t dead;
-  };
-
-  static bool event_before(const SimEvent& a, const SimEvent& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  /// Bucket ordinal of a time under the current width.  Multiplying by the
+  /// cached reciprocal is fine: the ordinal only has to be a monotone
+  /// function of time computed the same way everywhere (the width only
+  /// changes in rebuild(), which recomputes every ordinal).
+  [[gnu::always_inline]] std::uint64_t ordinal(double time) const {
+    return static_cast<std::uint64_t>(time * inv_width_);
   }
 
-  /// Return the run's undrained remainder to its bucket (the extracted
-  /// ordinal is about to stop being the active one).
-  void flush_run() {
-    const std::size_t bucket = run_ord_ & (buckets_.size() - 1);
-    for (std::size_t i = run_head_; i < run_.size(); ++i) {
-      const SimEvent& e = run_[i];
-      buckets_[bucket].push_back(
-          {e.time, run_ord_, e.seq, e.net,
-           e.value ? std::uint8_t{1} : std::uint8_t{0}, 0});
-      ++stored_;
-    }
-    if (!buckets_[bucket].empty()) {
-      occ_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-    }
-    run_.clear();
-    run_head_ = 0;
-    have_run_ = false;
-  }
-
-  /// Find the lowest occupied ordinal from cur_ord_ upward (occupancy
-  /// bitmap hops over empty buckets) and extract it into the run.  If a
-  /// full rotation of nonempty buckets yields nothing (their entries all
-  /// belong to later rotations — a sparse schedule, e.g. a lone slow
-  /// clock), jump cur_ord_ straight to the minimum occupied ordinal.
-  /// Precondition: live_ > 0 and the run is drained.
-  void refill_run() {
-    run_.clear();
-    run_head_ = 0;
-    have_run_ = false;
-    std::size_t rounds = 0;
-    for (;;) {
-      if (extract_run(cur_ord_)) return;
-      cur_ord_ += 1 + gap_to_next_occupied(
-          (static_cast<std::size_t>(cur_ord_) + 1) & (buckets_.size() - 1));
-      ++advances_;
-      if (++rounds > buckets_.size()) {
-        jump_to_min_ord();
-        extract_run(cur_ord_);
-        return;
-      }
-    }
-  }
-
-  /// Cyclic distance from bucket index `start` to the nearest nonempty
-  /// bucket at or after it (0 when `start` itself is nonempty); the
-  /// bucket count if every bucket is empty.
-  std::size_t gap_to_next_occupied(std::size_t start) const {
-    const std::size_t words = occ_.size();
-    const std::size_t w = start >> 6;
-    const std::uint64_t first = occ_[w] >> (start & 63);
-    if (first) return static_cast<std::size_t>(std::countr_zero(first));
-    for (std::size_t k = 1; k <= words; ++k) {
-      const std::uint64_t word = occ_[(w + k) & (words - 1)];
-      if (word) {
-        return (k << 6) - (start & 63) +
-               static_cast<std::size_t>(std::countr_zero(word));
-      }
-    }
-    return buckets_.size();
-  }
-
-  /// Move every live event of ordinal `ord` out of its bucket into the
-  /// run (reclaiming tombstones of that ordinal on the way), then sort
-  /// the run into (time, seq) order.  True if the run is nonempty.  All
-  /// entries of later ordinals are strictly later in time, so the sorted
-  /// run is a prefix of the global pop order.
-  bool extract_run(std::uint64_t ord) {
-    const std::size_t bucket = ord & (buckets_.size() - 1);
-    std::vector<Entry>& b = buckets_[bucket];
-    scanned_ += b.size();
-    std::size_t i = 0;
-    while (i < b.size()) {
-      const Entry& e = b[i];
-      if (e.ord != ord) {
-        ++i;
-        continue;
-      }
-      if (!e.dead) run_.push_back(SimEvent{e.time, e.seq, e.net, e.value != 0});
-      // Swap-fill removal; re-examine the entry moved into slot i.
-      b[i] = b.back();
-      b.pop_back();
-      --stored_;
-    }
-    if (b.empty()) occ_[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
-    if (run_.empty()) return false;
-    std::sort(run_.begin(), run_.end(), event_before);
-    // Charge the sort's n·log n to the work metric: a coarse width makes
-    // extraction rare but each sort long, and the retuner has to see that
-    // trade-off or it never shrinks the width.
-    scanned_ += run_.size() *
-                static_cast<std::uint64_t>(std::bit_width(run_.size()));
-    run_ord_ = ord;
-    have_run_ = true;
-    return true;
-  }
-
-  void jump_to_min_ord() {
-    std::uint64_t min_ord = ~std::uint64_t{0};
-    for (const auto& b : buckets_) {
-      for (const Entry& e : b) {
-        if (!e.dead && e.ord < min_ord) min_ord = e.ord;
-      }
-    }
-    cur_ord_ = min_ord;
-  }
-
-  /// Quadruple the bucket count and redistribute (ord is stored per
-  /// entry, so redistribution is a rehash, not a recompute).  The run is
-  /// untouched: its events stay addressed by run_ord_, which does not
-  /// depend on the bucket count.
-  void grow() {
-    std::vector<std::vector<Entry>> old = std::move(buckets_);
-    buckets_.assign(old.size() * 4, {});
-    for (auto& b : old) {
-      for (const Entry& e : b) {
-        buckets_[e.ord & (buckets_.size() - 1)].push_back(e);
-      }
-    }
-    reset_occupancy();
-  }
-
-  /// Recompute the occupancy bitmap from scratch (bucket layout changed).
-  void reset_occupancy() {
-    occ_.assign(buckets_.size() >= 64 ? buckets_.size() >> 6 : 1, 0);
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      if (!buckets_[i].empty()) {
-        occ_[i >> 6] |= std::uint64_t{1} << (i & 63);
-      }
-    }
-  }
-
-  /// Periodic width retune: when the measured work per pop (bucket entries
-  /// examined at extraction + empty buckets advanced) climbs past a few
-  /// units, the fixed width no longer matches the schedule's event density
-  /// and the calendar degrades toward a linear scan.  Recompute the width
-  /// from the median inter-event gap of the live events (the classic
-  /// calendar-queue self-sizing rule) and rebuild.  Retuning never changes
-  /// pop order — order is the (time, seq) total order; buckets only
-  /// accelerate the search — and the trigger depends only on the push/pop
-  /// sequence, so runs stay deterministic.
-  void maybe_retune() {
-    // Pushes may keep the run alive indefinitely (they append while pops
-    // advance the head); drop the drained prefix so the buffer stays
-    // bounded by the pending count plus one retune window.
-    if (run_head_ > 0) {
-      run_.erase(run_.begin(),
-                 run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
-      run_head_ = 0;
-    }
-    const double window = static_cast<double>(pops_);
-    const double avg_work =
-        static_cast<double>(scanned_ + advances_) / window;
-    pops_ = 0;
-    scanned_ = 0;
-    advances_ = 0;
-    retune_pops_ = 4096;
-    if (live_ < 8 || avg_work <= 4.0) return;
-
-    std::vector<double> times;
-    times.reserve(live_);
-    for (std::size_t i = run_head_; i < run_.size(); ++i) {
-      times.push_back(run_[i].time);
-    }
-    for (const auto& b : buckets_) {
-      for (const Entry& e : b) {
-        if (!e.dead) times.push_back(e.time);
-      }
-    }
-    std::sort(times.begin(), times.end());
-    std::vector<double> gaps;
-    gaps.reserve(times.size());
-    for (std::size_t i = 1; i < times.size(); ++i) {
-      if (times[i] > times[i - 1]) gaps.push_back(times[i] - times[i - 1]);
-    }
-    double new_width;
-    if (!gaps.empty()) {
-      const auto mid =
-          gaps.begin() + static_cast<std::ptrdiff_t>(gaps.size() / 2);
-      std::nth_element(gaps.begin(), mid, gaps.end());
-      new_width = 3.0 * gaps[gaps.size() / 2];
-    } else if (!times.empty()) {
-      const double span = times.back() - times.front();
-      new_width = span > 0.0 ? span / static_cast<double>(live_) : width_;
+  /// Append `ev` to bucket `b`: an arena slot if one is free, else the
+  /// bucket's spill vector.
+  [[gnu::always_inline]] void store(std::size_t b, const SimEvent& ev) {
+    const std::uint32_t n = count_[b];
+    if (n < kSlots) {
+      slots_[b * kSlots + n] = ev;
+      count_[b] = n + 1;
     } else {
-      new_width = width_;
+      spill(b, ev);
     }
-    new_width = std::clamp(new_width, 1e-3, 1e7);
-    rebuild(new_width);
+    occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    ++stored_;
   }
 
-  /// Re-hash every live event (run included) under a new bucket width,
-  /// dropping tombstones and growing the bucket array to at least 2x the
-  /// live count so one rotation spans the whole pending horizon.
-  void rebuild(double new_width) {
-    width_ = new_width;
-    inv_width_ = 1.0 / width_;
-    std::vector<Entry> alive;
-    alive.reserve(live_);
-    for (std::size_t i = run_head_; i < run_.size(); ++i) {
-      const SimEvent& e = run_[i];
-      alive.push_back({e.time, 0, e.seq, e.net,
-                       e.value ? std::uint8_t{1} : std::uint8_t{0}, 0});
+  /// Insert into the already-extracted ordinal, keeping the run sorted.
+  [[gnu::always_inline]] void insert_into_run(const SimEvent& ev) {
+    if (run_end_ == run_.size()) grow_run();
+    SimEvent* r = run_.data();
+    std::size_t i = run_end_++;
+    while (i > run_head_ && event_before(ev, r[i - 1])) {
+      r[i] = r[i - 1];
+      --i;
     }
-    run_.clear();
-    run_head_ = 0;
-    have_run_ = false;
-    for (auto& b : buckets_) {
-      for (const Entry& e : b) {
-        if (!e.dead) alive.push_back(e);
-      }
-      b.clear();
-    }
-    std::size_t want = buckets_.size();
-    while (want < alive.size() * 2) want <<= 1;
-    if (want > buckets_.size()) buckets_.resize(want);
-    std::uint64_t min_ord = ~std::uint64_t{0};
-    for (Entry e : alive) {
-      e.ord = static_cast<std::uint64_t>(e.time * inv_width_);
-      if (e.ord < min_ord) min_ord = e.ord;
-      buckets_[e.ord & (buckets_.size() - 1)].push_back(e);
-    }
-    stored_ = alive.size();
-    cur_ord_ = alive.empty() ? 0 : min_ord;
-    reset_occupancy();
+    r[i] = ev;
+    // The shifted tail counts as minimum-search work: a width so coarse
+    // that pushes keep landing inside the extracted ordinal must show up
+    // in the retune metric.
+    scanned_ += run_end_ - 1 - i;
   }
+
+  // Cold paths (event_queue.cpp).
+  void spill(std::size_t b, const SimEvent& ev);
+  void cancel_in_overflowed(std::size_t b, std::uint64_t seq);
+  void grow_run();
+  void flush_run();
+  void refill_run();
+  std::size_t gap_to_next_occupied(std::size_t start) const;
+  bool extract_run(std::uint64_t ord);
+  void jump_to_min_ord();
+  void grow();
+  void maybe_retune();
+  void rebuild(double new_width);
+  std::vector<SimEvent> take_stored();
+  void reset_arena(std::size_t buckets);
 
   double width_;
   double inv_width_;
-  std::vector<std::vector<Entry>> buckets_;
+  std::uint64_t mask_ = 0;          ///< bucket count - 1 (a power of two)
+  std::vector<SimEvent> slots_;     ///< bucket b: [b*kSlots, b*kSlots+kSlots)
+  std::vector<std::uint32_t> count_;  ///< events per bucket, spill included
+  std::vector<std::vector<SimEvent>> spill_;  ///< overflow past kSlots
   std::vector<std::uint64_t> occ_;  ///< one bit per bucket: nonempty
   std::uint64_t cur_ord_ = 0;
-  std::size_t live_ = 0;    ///< events not tombstoned (run included)
-  std::size_t stored_ = 0;  ///< bucket entries incl. tombstones, excl. run
+  std::size_t live_ = 0;    ///< queued events (run included)
+  std::size_t stored_ = 0;  ///< events in buckets (arena + spill)
 
   // Drain run: the extracted current ordinal, sorted by (time, seq);
-  // run_[run_head_..] are pending, earlier entries already popped.
+  // run_[run_head_, run_end_) are pending, earlier entries already popped.
+  // run_ is sized by grow_run()/extract_run(), never by the hot paths.
   std::vector<SimEvent> run_;
   std::size_t run_head_ = 0;
+  std::size_t run_end_ = 0;
   std::uint64_t run_ord_ = 0;
   bool have_run_ = false;
 

@@ -78,8 +78,10 @@ struct FlatNetlist {
 
 /// Gate function over a flat input-net list reading current net values;
 /// truth-table-identical to evaluate_gate(kind, vector<bool>).
-inline bool evaluate_gate_flat(GateKind kind, const std::uint8_t* values,
-                               const NetId* in, std::size_t n) {
+/// Always inlined: the simulator's per-tier event loops call it.
+[[gnu::always_inline]] inline bool evaluate_gate_flat(
+    GateKind kind, const std::uint8_t* values, const NetId* in,
+    std::size_t n) {
   switch (kind) {
     case GateKind::Inv: return values[in[0]] == 0;
     case GateKind::Buf: return values[in[0]] != 0;

@@ -9,7 +9,6 @@
 namespace dhtrng::sim {
 
 namespace {
-constexpr double kMinDelayPs = 0.1;
 constexpr double kReferenceDelayPs = 100.0;
 
 /// Calendar bucket width: the median scheduled delay puts the typical
@@ -117,7 +116,7 @@ Simulator::Simulator(const Circuit& circuit, SimConfig config)
   // disagrees with the initial net values (this is what makes inverter
   // rings begin to oscillate).
   for (const ClockSpec& c : circuit.clocks()) {
-    schedule(c.net, true, std::max(c.offset_ps, kMinDelayPs));
+    schedule_initial(c.net, true, std::max(c.offset_ps, kMinDelayPs));
   }
   for (std::size_t g = 0; g < circuit.gates().size(); ++g) {
     const std::uint32_t lo = flat_.gate_in_off[g];
@@ -126,70 +125,40 @@ Simulator::Simulator(const Circuit& circuit, SimConfig config)
                            flat_.gate_in.data() + lo,
                            flat_.gate_in_off[g + 1] - lo);
     if (out != (value_[flat_.gate_output[g]] != 0)) {
-      schedule(flat_.gate_output[g], out, gate_delay_with_jitter(g));
+      schedule_initial(flat_.gate_output[g], out, gate_delay_with_jitter(g));
     }
   }
 }
 
-double Simulator::gate_delay_with_jitter(std::size_t gate_index) {
-  if (fast_noise_) return gate_noise_[gate_index].next_delay_fast();
-  const double nominal = flat_.gate_delay_ps[gate_index] * config_.scaling.delay;
-  const double jitter =
-      gate_noise_[gate_index].next_edge_jitter(config_.scaling);
-  return std::max(nominal + jitter, kMinDelayPs);
-}
-
-void Simulator::schedule(NetId net, bool value, double delay_from_now) {
-  double t = now_ + delay_from_now;
-  NetSched& s = sched_[net];
-  // Per-net causal ordering: a later-issued transition may not overtake an
-  // earlier one (jitter could otherwise reorder them).
-  if (t <= s.time) t = s.time + kMinDelayPs;
-
-  const bool pending = s.time > now_;
-  if (pending && (s.projected != 0) != value && value == (value_[net] != 0) &&
-      t - s.time < config_.min_pulse_ps) {
-    // Runt pulse: the pending transition would be undone before it could
-    // propagate a full pulse width; swallow both (inertial delay).
-    if (config_.scheduler == Scheduler::Calendar) {
-      cal_.cancel(s.time, s.seq);
-    } else {
-      dead_events_.push_back(s.seq);
-    }
-    s.projected = value_[net];
-    s.time = now_;
-    ++runts_filtered_;
-    return;
-  }
-  if ((s.projected != 0) == value) return;  // no change to project
-
-  s.projected = value ? 1 : 0;
-  s.time = t;
-  s.seq = ++seq_;
+void Simulator::schedule_initial(NetId net, bool value,
+                                 double delay_from_now) {
   if (config_.scheduler == Scheduler::Calendar) {
-    cal_.push(t, seq_, net, value);
+    schedule<Scheduler::Calendar>(net, value, delay_from_now);
   } else {
-    queue_.push(Event{t, seq_, net, value});
+    schedule<Scheduler::ReferenceHeap>(net, value, delay_from_now);
   }
 }
 
 void Simulator::run_until(double t_ps) {
+  using support::simd::Tier;
   if (config_.scheduler == Scheduler::Calendar) {
-    run_until_calendar(t_ps);
+    switch (support::simd::active_tier()) {
+#if defined(__x86_64__) || defined(_M_X64)
+      case Tier::Avx512:
+        run_calendar<Tier::Avx512>(t_ps);
+        break;
+      case Tier::Avx2:
+        run_calendar<Tier::Avx2>(t_ps);
+        break;
+#endif
+      default:  // Scalar; on aarch64 also Neon (fma is baseline there)
+        run_calendar<Tier::Scalar>(t_ps);
+        break;
+    }
   } else {
     run_until_reference(t_ps);
   }
   now_ = std::max(now_, t_ps);
-}
-
-void Simulator::run_until_calendar(double t_ps) {
-  SimEvent ev;
-  while (cal_.pop_if_due(t_ps, ev)) {
-    if (++events_processed_ > config_.max_events) throw_budget_exhausted();
-    now_ = ev.time;
-    if (trace_applied_) applied_events_.push_back(ev);
-    apply_net_change(ev.net, ev.value);
-  }
 }
 
 void Simulator::run_until_reference(double t_ps) {
@@ -207,11 +176,17 @@ void Simulator::run_until_reference(double t_ps) {
     if (++events_processed_ > config_.max_events) throw_budget_exhausted();
     now_ = ev.time;
     if (trace_applied_) {
-      applied_events_.push_back(SimEvent{ev.time, ev.seq, ev.net, ev.value});
+      record_applied(SimEvent{ev.time, ev.seq, ev.net, ev.value});
     }
-    apply_net_change(ev.net, ev.value);
+    apply_net_change_reference(ev.net, ev.value);
   }
 }
+
+void Simulator::record_applied(const SimEvent& ev) {
+  applied_events_.push_back(ev);
+}
+
+void Simulator::record_edge(NetId net) { edge_times_[net].push_back(now_); }
 
 void Simulator::throw_budget_exhausted() {
   NetId hottest = 0;
@@ -224,88 +199,67 @@ void Simulator::throw_budget_exhausted() {
                                               : circuit_.net_name(hottest));
 }
 
-void Simulator::apply_net_change(NetId net, bool value) {
-  if ((value_[net] != 0) == value) return;
-  value_[net] = value ? 1 : 0;
-  last_change_[net] = now_;
-  ++toggles_[net];
-  if (value && edge_recorded_[net]) edge_times_[net].push_back(now_);
-
+void Simulator::apply_net_change_reference(NetId net, bool value) {
+  if (!commit_change(net, value)) return;
   const FlatNetlist::NetMeta& m = flat_.net_meta[net];
 
-  // Clock source nets regenerate their own next edge.
-  if (config_.scheduler == Scheduler::Calendar) {
-    if (m.clock >= 0) {
-      const ClockSpec& c = circuit_.clocks()[static_cast<std::size_t>(m.clock)];
+  // The reference oracle keeps the historical linear clock scan...
+  for (const ClockSpec& c : circuit_.clocks()) {
+    if (c.net == net) {
       const double high = c.period_ps * c.duty;
-      schedule(net, !value, value ? high : c.period_ps - high);
-    }
-  } else {
-    // Reference oracle keeps the historical linear clock scan.
-    for (const ClockSpec& c : circuit_.clocks()) {
-      if (c.net == net) {
-        const double high = c.period_ps * c.duty;
-        schedule(net, !value, value ? high : c.period_ps - high);
-        break;
-      }
+      schedule<Scheduler::ReferenceHeap>(net, !value,
+                                         value ? high : c.period_ps - high);
+      break;
     }
   }
-
-  // Rising clock edge: sample every flip-flop on this clock.
-  if (value) {
-    for (std::uint32_t d = m.dff_begin; d < m.dff_end; ++d) {
-      const std::uint32_t f = flat_.dff_by_clk[d];
-      const Dff& ff = circuit_.dffs()[f];
-      const bool d_now = value_[ff.d] != 0;
-      const double delta = now_ - last_change_[ff.d];
-      const double sigma = ff.timing.aperture_sigma_ps *
-                           std::max(config_.scaling.delay, 1e-9);
-      bool captured = d_now;
-      double extra = 0.0;
-      if (delta < 4.0 * sigma) {
-        // Eq. 2: the probability of capturing the post-transition value is
-        // the normal CDF of the (scaled) distance to the sampling edge.
-        const double p_new = support::normal_cdf(delta / sigma);
-        captured = meta_rng_.bernoulli(p_new) ? d_now : !d_now;
-        extra = meta_rng_.exponential(ff.timing.resolution_mean_ps);
-        ++metastable_samples_;
-      }
-      if (dff_recorded_[f]) {
-        dff_samples_[f].push_back(captured ? 1 : 0);
-      }
-      ++sample_counts_[f];
-      schedule(ff.q, captured,
-               ff.timing.clk_to_q_ps * config_.scaling.delay + extra);
+  if (value) sample_dffs<Scheduler::ReferenceHeap>(m);
+  // ...and the historical per-event-allocating evaluation, retained
+  // unchanged as the baseline the microbench measures against.
+  for (std::uint32_t o = m.fanout_begin; o < m.fanout_end; ++o) {
+    const std::uint32_t g = flat_.fanout[o];
+    const Gate& gate = circuit_.gates()[g];
+    std::vector<bool> ins(gate.inputs.size());
+    for (std::size_t i = 0; i < gate.inputs.size(); ++i) {
+      ins[i] = value_[gate.inputs[i]] != 0;
     }
-  }
-
-  if (config_.scheduler == Scheduler::Calendar) {
-    // Hot path: CSR fanout, allocation-free gate evaluation, one merged
-    // metadata record per gate.
-    const std::uint8_t* values = value_.data();
-    const NetId* ins = flat_.gate_in.data();
-    for (std::uint32_t o = m.fanout_begin; o < m.fanout_end; ++o) {
-      const std::uint32_t g = flat_.fanout[o];
-      const FlatNetlist::GateMeta& gm = flat_.gate_meta[g];
-      const bool out = evaluate_gate_flat(gm.kind, values, ins + gm.in_begin,
-                                          gm.in_end - gm.in_begin);
-      schedule(gm.output, out, gate_delay_with_jitter(g));
-    }
-  } else {
-    // Reference oracle: the historical per-event-allocating evaluation,
-    // retained unchanged as the baseline the microbench measures against.
-    for (std::uint32_t o = m.fanout_begin; o < m.fanout_end; ++o) {
-      const std::uint32_t g = flat_.fanout[o];
-      const Gate& gate = circuit_.gates()[g];
-      std::vector<bool> ins(gate.inputs.size());
-      for (std::size_t i = 0; i < gate.inputs.size(); ++i) {
-        ins[i] = value_[gate.inputs[i]] != 0;
-      }
-      schedule(gate.output, evaluate_gate(gate.kind, ins),
-               gate_delay_with_jitter(g));
-    }
+    schedule<Scheduler::ReferenceHeap>(gate.output,
+                                       evaluate_gate(gate.kind, ins),
+                                       gate_delay_with_jitter(g));
   }
 }
+
+template <Scheduler S>
+void Simulator::sample_dffs(const FlatNetlist::NetMeta& m) {
+  for (std::uint32_t d = m.dff_begin; d < m.dff_end; ++d) {
+    const std::uint32_t f = flat_.dff_by_clk[d];
+    const Dff& ff = circuit_.dffs()[f];
+    const bool d_now = value_[ff.d] != 0;
+    const double delta = now_ - last_change_[ff.d];
+    const double sigma = ff.timing.aperture_sigma_ps *
+                         std::max(config_.scaling.delay, 1e-9);
+    bool captured = d_now;
+    double extra = 0.0;
+    if (delta < 4.0 * sigma) {
+      // Eq. 2: the probability of capturing the post-transition value is
+      // the normal CDF of the (scaled) distance to the sampling edge.
+      const double p_new = support::normal_cdf(delta / sigma);
+      captured = meta_rng_.bernoulli(p_new) ? d_now : !d_now;
+      extra = meta_rng_.exponential(ff.timing.resolution_mean_ps);
+      ++metastable_samples_;
+    }
+    if (dff_recorded_[f]) {
+      dff_samples_[f].push_back(captured ? 1 : 0);
+    }
+    ++sample_counts_[f];
+    schedule<S>(ff.q, captured,
+                ff.timing.clk_to_q_ps * config_.scaling.delay + extra);
+  }
+}
+
+template void Simulator::sample_dffs<Scheduler::Calendar>(
+    const FlatNetlist::NetMeta&);
+template void Simulator::sample_dffs<Scheduler::ReferenceHeap>(
+    const FlatNetlist::NetMeta&);
 
 void Simulator::record_dff(std::size_t dff_index) {
   dff_recorded_.at(dff_index) = 1;

@@ -13,11 +13,16 @@
 //
 // Two interchangeable schedulers implement that order:
 //
-//  * Scheduler::Calendar (default) — an indexed calendar/bucket queue over
-//    a slab allocator (event_queue.h), driving gate evaluation through the
+//  * Scheduler::Calendar (default) — a calendar/bucket queue over one
+//    flat slot arena (event_queue.h), driving gate evaluation through the
 //    contiguous CSR netlist view built once at elaboration
 //    (flat_netlist.h) and per-gate noise sources sampled in blocks.  This
-//    is the production engine.
+//    is the production engine.  Its event loop (simulator_loop.inc) is
+//    compiled once per SIMD dispatch tier and picked by
+//    support::simd::active_tier(), so the fast-noise delay fma is one
+//    instruction on the AVX2/AVX-512 tiers and a libm call on the x86-64
+//    scalar tier — the same rounding either way, so every tier applies
+//    the same events at the same times.
 //  * Scheduler::ReferenceHeap — the original binary-heap scheduler with
 //    per-event allocation, kept as a slow oracle.  Both schedulers are
 //    waveform-identical event for event; tests/sim/test_differential_fuzz
@@ -37,6 +42,7 @@
 #include "sim/event_queue.h"
 #include "sim/flat_netlist.h"
 #include "support/rng.h"
+#include "support/simd_noise.h"
 
 namespace dhtrng::sim {
 
@@ -158,11 +164,86 @@ class Simulator {
     }
   };
 
-  void schedule(NetId net, bool value, double delay_from_now);
-  void apply_net_change(NetId net, bool value);
-  double gate_delay_with_jitter(std::size_t gate_index);
-  void run_until_calendar(double t_ps);
+  static constexpr double kMinDelayPs = 0.1;
+
+  // Hot helpers shared by the per-tier calendar loops and the baseline
+  // code.  Always inlined, so no tier can end up calling an out-of-line
+  // copy built for another instruction set; what they call out of line
+  // (record_edge, the queue's and the noise sources' refills) is built
+  // once at the baseline.
+
+  /// Schedule `net` to take `value` `delay_from_now` ps ahead through
+  /// scheduler S, after the per-net causal-ordering clamp and the
+  /// inertial runt filter.
+  template <Scheduler S>
+  [[gnu::always_inline]] void schedule(NetId net, bool value,
+                                       double delay_from_now) {
+    double t = now_ + delay_from_now;
+    NetSched& s = sched_[net];
+    // Per-net causal ordering: a later-issued transition may not overtake
+    // an earlier one (jitter could otherwise reorder them).
+    if (t <= s.time) t = s.time + kMinDelayPs;
+
+    const bool pending = s.time > now_;
+    if (pending && (s.projected != 0) != value && value == (value_[net] != 0) &&
+        t - s.time < config_.min_pulse_ps) {
+      // Runt pulse: the pending transition would be undone before it
+      // could propagate a full pulse width; swallow both (inertial delay).
+      if constexpr (S == Scheduler::Calendar) {
+        cal_.cancel(s.time, s.seq);
+      } else {
+        dead_events_.push_back(s.seq);
+      }
+      s.projected = value_[net];
+      s.time = now_;
+      ++runts_filtered_;
+      return;
+    }
+    if ((s.projected != 0) == value) return;  // no change to project
+
+    s.projected = value ? 1 : 0;
+    s.time = t;
+    s.seq = ++seq_;
+    if constexpr (S == Scheduler::Calendar) {
+      cal_.push(t, seq_, net, value);
+    } else {
+      queue_.push(Event{t, seq_, net, value});
+    }
+  }
+
+  [[gnu::always_inline]] double gate_delay_with_jitter(std::size_t gate_index) {
+    if (fast_noise_) return gate_noise_[gate_index].next_delay_fast();
+    const double nominal =
+        flat_.gate_delay_ps[gate_index] * config_.scaling.delay;
+    const double jitter =
+        gate_noise_[gate_index].next_edge_jitter(config_.scaling);
+    const double d = nominal + jitter;
+    return d < kMinDelayPs ? kMinDelayPs : d;
+  }
+
+  /// Set `net` to `value` and do the per-net bookkeeping; false (and
+  /// nothing done) when the net already has that value.
+  [[gnu::always_inline]] bool commit_change(NetId net, bool value) {
+    if ((value_[net] != 0) == value) return false;
+    value_[net] = value ? 1 : 0;
+    last_change_[net] = now_;
+    ++toggles_[net];
+    if (value && edge_recorded_[net]) record_edge(net);
+    return true;
+  }
+
+  /// The calendar event loop (simulator_loop.inc), one instantiation per
+  /// dispatch tier, each in its own translation unit.
+  template <support::simd::Tier T>
+  void run_calendar(double t_ps);
   void run_until_reference(double t_ps);
+  void apply_net_change_reference(NetId net, bool value);
+  /// Sample every flip-flop clocked by a net that just rose.
+  template <Scheduler S>
+  void sample_dffs(const FlatNetlist::NetMeta& m);
+  void schedule_initial(NetId net, bool value, double delay_from_now);
+  void record_edge(NetId net);
+  void record_applied(const SimEvent& ev);
   [[noreturn]] void throw_budget_exhausted();
 
   const Circuit& circuit_;

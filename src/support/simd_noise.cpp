@@ -35,6 +35,9 @@ namespace dhtrng::support::simd {
   void fast_log_batch_trimmed(const double* x, double* out, std::size_t n);   \
   void fast_exp_batch(const double* y, double* out, std::size_t n);           \
   void fast_exp_batch_trimmed(const double* y, double* out, std::size_t n);   \
+  void delay_combine_batch(const double* white, const double* flicker,       \
+                           double white_gain, double flicker_gain,            \
+                           double base, double* out, std::size_t n);          \
   std::uint64_t uniform_lt_mask64(const std::uint64_t* raw, const double* p); \
   std::uint64_t uniform_lt_mask64_hi(const std::uint64_t* raw,                \
                                      const double* p);                        \
@@ -197,6 +200,13 @@ void fast_exp_batch(const double* y, double* out, std::size_t n) {
 
 void fast_exp_batch_trimmed(const double* y, double* out, std::size_t n) {
   DHTRNG_DISPATCH(fast_exp_batch_trimmed(y, out, n))
+}
+
+void delay_combine_batch(const double* white, const double* flicker,
+                         double white_gain, double flicker_gain, double base,
+                         double* out, std::size_t n) {
+  DHTRNG_DISPATCH(delay_combine_batch(white, flicker, white_gain,
+                                      flicker_gain, base, out, n))
 }
 
 std::uint64_t uniform_lt_mask64(const std::uint64_t* raw, const double* p) {

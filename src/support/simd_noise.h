@@ -114,6 +114,14 @@ void fast_log_batch_trimmed(const double* x, double* out, std::size_t n);
 void fast_exp_batch(const double* y, double* out, std::size_t n);
 void fast_exp_batch_trimmed(const double* y, double* out, std::size_t n);
 
+/// out[i] = fma(white_gain, white[i], fma(flicker_gain, flicker[i], base))
+/// — the fast-noise gate-delay block (EdgeJitterSource::refill_fast).
+/// Exact in every tier: each fma rounds once, whether it is a libm call
+/// (x86-64 scalar tier) or an instruction (AVX2, AVX-512, NEON).
+void delay_combine_batch(const double* white, const double* flicker,
+                         double white_gain, double flicker_gain, double base,
+                         double* out, std::size_t n);
+
 /// Bit i of the result is set iff the uniform in [0,1) derived from raw[i]
 /// is < p[i] — 64 independent Bernoulli trials packed into one word (the
 /// bitsliced backend's coin flips).  Exact in every tier.

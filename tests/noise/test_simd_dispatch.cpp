@@ -481,3 +481,37 @@ TEST(SimdDispatch, RaggedSizesMatchAcrossTiers) {
                        "soa gaussian_fill");
   }
 }
+
+TEST(SimdDispatch, DelayCombineMatchesAcrossTiersAtRaggedSizes) {
+  // The fast-noise gate-delay block: two fmas per element.  Every tier
+  // must equal the scalar tier, and the scalar tier must equal std::fma
+  // done here element by element; sizes 0..40 cover every 4- and 8-wide
+  // tail, 256 is EdgeJitterSource's block.
+  dhtrng::support::Xoshiro256 rng(0xde1a);
+  std::vector<double> white(256), flicker(256);
+  rng.gaussian_fill(white.data(), white.size());
+  for (double& f : flicker) f = rng.uniform(-2.0, 2.0);
+  const double white_gain = 1.37;
+  const double flicker_gain = 0.8125;
+  const double base = 143.25;
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  sizes.push_back(256);
+  for (std::size_t n : sizes) {
+    SCOPED_TRACE(testing::Message() << "n = " << n);
+    const auto runs = run_per_tier([&] {
+      std::vector<double> out(n);
+      simd::delay_combine_batch(white.data(), flicker.data(), white_gain,
+                                flicker_gain, base, out.data(), n);
+      return out;
+    });
+    expect_tiers_match(runs, "delay");
+    const std::vector<double>& scalar = runs.front().second;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(scalar[i],
+                std::fma(white_gain, white[i],
+                         std::fma(flicker_gain, flicker[i], base)))
+          << "element " << i;
+    }
+  }
+}

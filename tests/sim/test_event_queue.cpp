@@ -1,7 +1,8 @@
 // Unit tests for the calendar/bucket event queue: pop order equals the
 // (time, seq) total order regardless of bucket width, cancellation
-// tombstones behave, sparse schedules trigger the rotation fallback, and
-// growth/retune never perturb ordering.
+// behaves, sparse schedules trigger the rotation fallback, growth/retune
+// never perturb ordering, and the flat arena's overflow spill keeps
+// order through extraction and cancellation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,6 +37,65 @@ void expect_sorted(const std::vector<SimEvent>& evs) {
                     << "," << evs[i].seq << ")";
   }
 }
+
+/// A CalendarQueue driven in lockstep with a sorted-oracle list of the
+/// pending events: every pop must return the oracle's (time, seq) minimum.
+class OracleQueue {
+ public:
+  explicit OracleQueue(double width, std::size_t buckets = 64)
+      : q_(width, buckets) {}
+
+  void push(double time, std::uint64_t seq) {
+    const NetId net = static_cast<NetId>(seq % 13);
+    const bool value = seq % 2 == 0;
+    q_.push(time, seq, net, value);
+    pending_.push_back({time, seq, net, value});
+  }
+
+  void cancel(double time, std::uint64_t seq) {
+    q_.cancel(time, seq);
+    const auto it =
+        std::find_if(pending_.begin(), pending_.end(),
+                     [&](const SimEvent& e) { return e.seq == seq; });
+    if (it != pending_.end()) pending_.erase(it);
+  }
+
+  testing::AssertionResult pop_matches() {
+    if (pending_.empty()) return testing::AssertionFailure() << "oracle empty";
+    const auto min = std::min_element(pending_.begin(), pending_.end(),
+                                      event_before);
+    const SimEvent want = *min;
+    pending_.erase(min);
+    if (q_.empty()) return testing::AssertionFailure() << "queue empty";
+    const SimEvent got = q_.pop();
+    if (!(got == want)) {
+      return testing::AssertionFailure()
+             << "popped (" << got.time << ", " << got.seq << "), oracle ("
+             << want.time << ", " << want.seq << ")";
+    }
+    if (q_.live() != pending_.size() || q_.stored() != pending_.size()) {
+      return testing::AssertionFailure()
+             << "live " << q_.live() << ", stored " << q_.stored()
+             << ", oracle " << pending_.size();
+    }
+    return testing::AssertionSuccess();
+  }
+
+  testing::AssertionResult drain_matches() {
+    while (!pending_.empty()) {
+      const testing::AssertionResult r = pop_matches();
+      if (!r) return r;
+    }
+    if (!q_.empty()) return testing::AssertionFailure() << "queue not empty";
+    return testing::AssertionSuccess();
+  }
+
+  CalendarQueue& queue() { return q_; }
+
+ private:
+  CalendarQueue q_;
+  std::vector<SimEvent> pending_;
+};
 
 TEST(CalendarQueue, PopsInTimeOrder) {
   CalendarQueue q(10.0);
@@ -116,7 +176,7 @@ TEST(CalendarQueue, CancelPeekedMinimumReScans) {
   q.push(5.0, 0, 1, true);
   q.push(9.0, 1, 2, false);
   ASSERT_EQ(q.peek()->net, 1u);  // cache the minimum...
-  q.cancel(5.0, 0);              // ...then tombstone it
+  q.cancel(5.0, 0);              // ...then cancel it
   ASSERT_NE(q.peek(), nullptr);
   EXPECT_EQ(q.peek()->net, 2u);
   EXPECT_EQ(q.pop().time, 9.0);
@@ -189,7 +249,7 @@ TEST(CalendarQueue, EntriesAreReclaimedAfterPop) {
     while (!q.empty()) q.pop();
   }
   // Popped entries leave the buckets immediately: stored() counts queued
-  // entries (incl. tombstones), so a drained queue stores nothing.
+  // entries, so a drained queue stores nothing.
   EXPECT_EQ(q.stored(), 0u);
 }
 
@@ -239,6 +299,129 @@ TEST(CalendarQueue, PopIfDueStopsAtHorizon) {
   auto rest = drain(q);
   expect_sorted(rest);
   EXPECT_EQ(due.size() + rest.size(), 300u);
+}
+
+// Width 10, 64 buckets: ordinal k lives in bucket k % 64, so ordinals 5,
+// 69 and 133 share bucket 5.
+constexpr std::size_t kRotation = 64;
+constexpr double kWidth = 10.0;
+double at(std::uint64_t ord, double frac) {
+  return (static_cast<double>(ord) + frac) * kWidth;
+}
+
+TEST(CalendarQueue, ArenaOverflowWhileRunExtracted) {
+  OracleQueue o(kWidth);
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 3; ++i) o.push(at(5, 0.1 * (i + 1)), seq++);
+  ASSERT_TRUE(o.pop_matches());  // extracts ordinal 5 into the run
+  // Overflow bucket 5 while ordinal 5 is the extracted run: two later
+  // rotations interleaved, more events than the bucket has slots.
+  const std::size_t over = 2 * CalendarQueue::kSlots + 3;
+  for (std::size_t i = 0; i < over; ++i) {
+    const std::uint64_t ord = 5 + kRotation * (i % 2 == 0 ? 1 : 2);
+    o.push(at(ord, 0.9 - 0.04 * static_cast<double>(i)), seq++);
+  }
+  // Pushes into the run's own ordinal and into a neighbouring bucket.
+  o.push(at(5, 0.75), seq++);
+  o.push(at(5, 0.05), seq++);
+  o.push(at(6, 0.5), seq++);
+  EXPECT_EQ(o.queue().stored(), o.queue().live());
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(o.pop_matches());
+  // Ordinal 69 has been extracted out of the overflowed bucket; refill the
+  // bucket past its slots again before draining.
+  for (std::size_t i = 0; i < over; ++i) {
+    o.push(at(5 + 3 * kRotation, 0.01 * static_cast<double>(i)), seq++);
+  }
+  EXPECT_TRUE(o.drain_matches());
+}
+
+TEST(CalendarQueue, EqualTimeTiesInsideExtractedRun) {
+  OracleQueue o(kWidth);
+  for (std::uint64_t s : {4u, 2u, 6u}) o.push(40.0, s);
+  o.push(41.0, 1);
+  o.push(40.0, 3);
+  ASSERT_TRUE(o.pop_matches());  // extracts ordinal 4: ties at 40.0
+  // Equal-time pushes into the extracted run, in and out of seq order,
+  // on both sides of the queued ties.
+  for (std::uint64_t s : {9u, 5u, 7u, 8u}) o.push(40.0, s);
+  o.push(41.0, 0);
+  ASSERT_TRUE(o.pop_matches());
+  ASSERT_TRUE(o.pop_matches());
+  o.push(40.0, 10);
+  EXPECT_TRUE(o.drain_matches());
+}
+
+TEST(CalendarQueue, CancelInsideRunAndOverflowedBucket) {
+  OracleQueue o(kWidth);
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 6; ++i) o.push(at(5, 0.1 * (i + 1)), seq++);
+  ASSERT_TRUE(o.pop_matches());  // run: ordinal 5, seqs 1..5 pending
+  o.cancel(at(5, 0.3), 2);       // middle of the run
+  o.cancel(at(5, 0.2), 1);       // the run's next pop
+  // Overflow bucket 5 (ordinal 69) and cancel both an arena-resident
+  // entry (the first pushed) and a spilled one (the last pushed).
+  std::vector<std::pair<double, std::uint64_t>> bucket;
+  for (std::size_t i = 0; i < CalendarQueue::kSlots + 4; ++i) {
+    bucket.emplace_back(at(5 + kRotation, 0.05 * static_cast<double>(i)),
+                        seq);
+    o.push(bucket.back().first, seq++);
+  }
+  o.cancel(bucket.front().first, bucket.front().second);
+  o.cancel(bucket.back().first, bucket.back().second);
+  o.cancel(bucket[CalendarQueue::kSlots].first,
+           bucket[CalendarQueue::kSlots].second);
+  // A plain (non-overflowed) bucket too.
+  o.push(at(7, 0.5), seq++);
+  o.push(at(7, 0.6), seq);
+  o.cancel(at(7, 0.6), seq++);
+  ASSERT_TRUE(o.pop_matches());
+  o.cancel(at(5, 0.6), 5);  // the run's last entry
+  EXPECT_TRUE(o.drain_matches());
+}
+
+TEST(CalendarQueue, RandomWorkloadWithOverflowingBuckets) {
+  // A width far too coarse for the event density: buckets overflow their
+  // slots all the time (until the retune narrows the width), with cancels
+  // landing in the run, the arena and the spill.
+  for (std::uint64_t seed : {3u, 5u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    OracleQueue o(200.0);
+    support::Xoshiro256 rng(seed);
+    std::vector<std::pair<double, std::uint64_t>> live;
+    std::uint64_t seq = 0;
+    double now = 0.0;
+    for (int step = 0; step < 6000; ++step) {
+      const double r = rng.uniform();
+      if (r < 0.5 || live.empty()) {
+        const double t = now + rng.uniform(0.0, 400.0);
+        o.push(t, seq);
+        live.emplace_back(t, seq++);
+      } else if (r < 0.85) {
+        ASSERT_TRUE(o.pop_matches());
+        // The oracle popped the minimum; keep `live` in step with it.
+        const auto min = std::min_element(live.begin(), live.end());
+        now = min->first;
+        live.erase(min);
+      } else {
+        const std::size_t pick = rng.below(live.size());
+        o.cancel(live[pick].first, live[pick].second);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+    }
+    EXPECT_TRUE(o.drain_matches());
+  }
+}
+
+TEST(CalendarQueue, SmallBucketCountWrapsAtBucketCount) {
+  // 16 buckets: ordinals 18 and 66 share bucket 2.  After ordinal 1 is
+  // popped, the search from bucket 3 must wrap at 16 buckets (reaching
+  // ordinal 18), not at the 64 bits of the occupancy word (which would
+  // land on ordinal 66 first).
+  OracleQueue o(kWidth, 16);
+  o.push(at(1, 0.5), 0);
+  o.push(at(18, 0.5), 1);
+  o.push(at(66, 0.5), 2);
+  EXPECT_TRUE(o.drain_matches());
 }
 
 }  // namespace
