@@ -67,9 +67,9 @@ class SharedSupplyNoise {
                     double correlation = 0.995);
 
   /// Advance one step and return the current value (ps).  Always inlined:
-  /// it runs once per gate event inside the simulator's per-tier event
-  /// loops (sim/simulator_loop.inc), which must not share an out-of-line
-  /// copy compiled for another instruction set.
+  /// it runs once per gate event inside the simulator's event loop
+  /// (sim/simulator_loop.cpp), whose fma entry point then issues the
+  /// supply term's fma as one instruction.
   [[gnu::always_inline]] double step() {
     if (block_pos_ < block_.size()) {
       value_ = block_[block_pos_++];
@@ -145,7 +145,7 @@ class EdgeJitterSource {
   /// Next complete gate delay (ps), clamped to the floor passed to
   /// enable_fast_delay.  Call only after enable_fast_delay.  The fma is
   /// one instruction where the caller is built with FMA (the simulator's
-  /// vector-tier event loops) and a libm call at the x86-64 baseline; it
+  /// event-loop entry point for the vector tiers) and a libm call at the x86-64 baseline; it
   /// rounds once either way.
   [[gnu::always_inline]] double next_delay_fast() {
     if (delay_pos_ >= delay_block_.size()) refill_fast();

@@ -30,11 +30,9 @@
 // This changes only how the minimum is found, not which event is the
 // minimum, so pop order is untouched.
 //
-// push, cancel and pop_if_due are always inlined: the simulator compiles
-// its event loop once per SIMD dispatch tier (sim/simulator_loop.inc), and
-// an out-of-line copy of a header function would be shared by all tiers.
-// Everything they call out of line is a cold path defined in
-// event_queue.cpp, built once at the baseline instruction set.
+// push, cancel and pop_if_due are always inlined into the simulator's
+// event loop (sim/simulator_loop.cpp); everything they call out of line is
+// a cold path defined in event_queue.cpp.
 #pragma once
 
 #include <cstddef>

@@ -78,7 +78,7 @@ struct FlatNetlist {
 
 /// Gate function over a flat input-net list reading current net values;
 /// truth-table-identical to evaluate_gate(kind, vector<bool>).
-/// Always inlined: the simulator's per-tier event loops call it.
+/// Always inlined into the simulator's event loop.
 [[gnu::always_inline]] inline bool evaluate_gate_flat(
     GateKind kind, const std::uint8_t* values, const NetId* in,
     std::size_t n) {

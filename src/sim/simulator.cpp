@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "support/simd_noise.h"
 #include "support/special_functions.h"
 
 namespace dhtrng::sim {
@@ -144,15 +145,13 @@ void Simulator::run_until(double t_ps) {
   if (config_.scheduler == Scheduler::Calendar) {
     switch (support::simd::active_tier()) {
 #if defined(__x86_64__) || defined(_M_X64)
-      case Tier::Avx512:
-        run_calendar<Tier::Avx512>(t_ps);
-        break;
+      case Tier::Avx512:  // every AVX-512 tier host also has AVX2 + FMA
       case Tier::Avx2:
-        run_calendar<Tier::Avx2>(t_ps);
+        run_calendar_fma(t_ps);
         break;
 #endif
       default:  // Scalar; on aarch64 also Neon (fma is baseline there)
-        run_calendar<Tier::Scalar>(t_ps);
+        run_calendar(t_ps);
         break;
     }
   } else {

@@ -17,8 +17,8 @@
 //    flat slot arena (event_queue.h), driving gate evaluation through the
 //    contiguous CSR netlist view built once at elaboration
 //    (flat_netlist.h) and per-gate noise sources sampled in blocks.  This
-//    is the production engine.  Its event loop (simulator_loop.inc) is
-//    compiled once per SIMD dispatch tier and picked by
+//    is the production engine.  Its event loop (simulator_loop.cpp) has
+//    a baseline and an AVX2 + FMA entry point, picked by
 //    support::simd::active_tier(), so the fast-noise delay fma is one
 //    instruction on the AVX2/AVX-512 tiers and a libm call on the x86-64
 //    scalar tier — the same rounding either way, so every tier applies
@@ -42,7 +42,6 @@
 #include "sim/event_queue.h"
 #include "sim/flat_netlist.h"
 #include "support/rng.h"
-#include "support/simd_noise.h"
 
 namespace dhtrng::sim {
 
@@ -166,11 +165,10 @@ class Simulator {
 
   static constexpr double kMinDelayPs = 0.1;
 
-  // Hot helpers shared by the per-tier calendar loops and the baseline
-  // code.  Always inlined, so no tier can end up calling an out-of-line
-  // copy built for another instruction set; what they call out of line
-  // (record_edge, the queue's and the noise sources' refills) is built
-  // once at the baseline.
+  // Hot helpers of the calendar loop, also used by the baseline code.
+  // Always inlined, so the loop's fma entry point runs them with the
+  // hardware fma; what they call out of line (record_edge, the queue's
+  // and the noise sources' refills) is built once at the baseline.
 
   /// Schedule `net` to take `value` `delay_from_now` ps ahead through
   /// scheduler S, after the per-net causal-ordering clamp and the
@@ -232,10 +230,14 @@ class Simulator {
     return true;
   }
 
-  /// The calendar event loop (simulator_loop.inc), one instantiation per
-  /// dispatch tier, each in its own translation unit.
-  template <support::simd::Tier T>
+  /// The calendar event loop (simulator_loop.cpp): one always-inlined
+  /// body, entered at the baseline instruction set or, on x86-64, with
+  /// AVX2 + FMA for the vector dispatch tiers.
+  [[gnu::always_inline]] inline void calendar_loop(double t_ps);
   void run_calendar(double t_ps);
+#if defined(__x86_64__) || defined(_M_X64)
+  [[gnu::target("avx2,fma")]] void run_calendar_fma(double t_ps);
+#endif
   void run_until_reference(double t_ps);
   void apply_net_change_reference(NetId net, bool value);
   /// Sample every flip-flop clocked by a net that just rose.

@@ -1,7 +1,7 @@
 // Dispatch-tier parity of the simulator's calendar event loop.
 //
-// The loop (sim/simulator_loop.inc) is compiled once per SIMD dispatch
-// tier and picked by support::simd::active_tier(); the tiers differ only in
+// The loop (sim/simulator_loop.cpp) has a baseline and an AVX2 + FMA entry
+// point, picked by support::simd::active_tier(); they differ only in
 // whether the fast-noise delay fma is a libm call or an instruction, and
 // fma rounds once either way.  So a run of the DH-TRNG netlist must apply
 // the same events at the same times on every tier the host supports —
@@ -91,7 +91,7 @@ TEST(SimTierParity, ExactNoiseDhTrngIdenticalOnEveryTier) {
 }
 
 TEST(SimTierParity, FastNoiseTierLoopMatchesReferenceHeap) {
-  // The reference scheduler never enters the per-tier loop, so this ties
+  // The reference scheduler never enters the calendar loop, so this ties
   // the dispatched loop (on whatever tier is active) to the oracle.
   expect_same_run(run_dhtrng(11, noise::NoiseMode::Fast),
                   run_dhtrng(11, noise::NoiseMode::Fast,
